@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 from . import equilibrium as eq
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .dynamics import integrate
-from .experiments import ExperimentSpec, builtin_suite, get_builtin, run
+from .experiments import (ExperimentSpec, _fmt, builtin_suite, get_builtin,
+                          run)
 from .oracle import empirical_infection_probability
 from .risk import infection_probability, risk_profile
 
@@ -37,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, bool)):
-        return str(int(value))
-    return format(float(value), ".9g")
 
 
 def _build_parser() -> _Parser:

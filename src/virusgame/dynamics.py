@@ -14,7 +14,8 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,11 @@ class ThresholdDistribution:
 
     kind: str
     params: tuple
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.params):
+            raise ValueError(
+                f"{self.kind} threshold parameters must be finite")
 
     @classmethod
     def exponential(cls, mean: float) -> "ThresholdDistribution":
@@ -138,6 +144,9 @@ class SystemParams:
     update_cost: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
         if self.n_sources < 1:
@@ -229,6 +238,11 @@ class _SaturatingHazard:
         self.last = h
         return h
 
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the columns where mask is False."""
+        self.last = self.last[mask]
+        self.saturated = self.saturated[mask]
+
 
 def _rk4_step(x, s, xb, dt, params, k, hazard):
     def rhs(x_, s_, xb_):
@@ -293,57 +307,103 @@ def integrate(params: SystemParams, k_protected: float,
                       hazard_saturated=bool(hazard.saturated.any()))
 
 
-def batch_extinction_stats(params: SystemParams, k_values: np.ndarray,
+# the SystemParams fields the right-hand side and initial state read
+_COLUMN_FIELDS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
+                  "lambda_influence", "x0", "s0")
+
+
+def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
+    """Per-column model constants, protection level, table id and index.
+
+    ``params`` is one parameter set for every column or one per column;
+    columns with equal parameter sets share a table id.
+    """
+    if isinstance(params, SystemParams):
+        tables, table = [params], np.zeros(len(k), dtype=int)
+    else:
+        if len(params) != len(k):
+            raise ValueError("need one parameter set per k_protected value")
+        ids = {}
+        table = np.array([ids.setdefault(p, len(ids)) for p in params],
+                         dtype=int)
+        tables = list(ids)
+    cols = {name: np.array([getattr(p, name) for p in tables],
+                           dtype=float)[table]
+            for name in _COLUMN_FIELDS}
+    return SimpleNamespace(**cols, k=k, table=table, col=np.arange(len(k)))
+
+
+def _stoppable(c: SimpleNamespace, x, s, h_now, cand_t, eps) -> np.ndarray:
+    """Columns whose whole table is provably extinct and cannot regrow
+    above epsilon: every column of it has an extinction candidate, sits
+    below eps/2, is subcritical and sees too little forcing to restart."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_cap = np.where(c.delta_s > 0,
+                         np.maximum(s, c.lambda_influence * h_now
+                                    * c.n_sources / c.delta_s),
+                         c.n_sources)
+    s_cap = np.minimum(s_cap, c.n_sources)
+    pool = np.maximum(c.n_nodes - c.k, 0.0)
+    ok = (~np.isnan(cand_t) & (x <= 0.5 * eps)
+          & ((c.beta * pool <= 0.95 * c.delta) | (x <= 0))
+          & ((c.gamma * s_cap + c.beta * x) * pool <= 0.5 * c.delta * eps))
+    return ~np.isin(c.table, c.table[~ok])
+
+
+def batch_extinction_stats(params, k_values: np.ndarray,
                            dist: ThresholdDistribution,
                            horizon: float = DEFAULT_HORIZON,
                            dt: float = DEFAULT_DT,
                            extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON):
-    """Integrate once for many protection levels; return per-level extinction
-    time, accumulated infection hazard integral (trapezoid of beta*X + gamma*S
-    over [0, t_f]) and truncation/saturation flags.
+    """Integrate once for many protection levels; return per-column
+    extinction time, accumulated infection hazard integral (trapezoid of
+    beta*X + gamma*S over [0, t_f]) and truncation/saturation flags.
 
-    This is the engine behind the k -> P_i(k) risk table; trajectories are
-    not stored.  Integration stops early once every column is provably
-    extinct and cannot regrow.
+    ``params`` is one SystemParams for every column, or a sequence with one
+    per column.  Columns with equal parameter sets form one table; the
+    columns of several tables are integrated side by side, each with its
+    own constants.  This is the engine behind the k -> P_i(k) risk tables;
+    trajectories are not stored.  A table stops early once all its columns
+    are provably extinct and cannot regrow; its columns then leave the
+    batch, so each table comes out bit-identical to a call of its own.
     """
     if horizon <= 0 or dt <= 0 or dt > horizon:
         raise ValueError("require 0 < dt <= horizon")
     k = np.asarray(k_values, dtype=float)
-    if ((k < 0) | (k > params.n_nodes)).any():
+    c = _column_constants(params, k)
+    if ((k < 0) | (k > c.n_nodes)).any():
         raise ValueError("k_protected values must lie in [0, n_nodes]")
     n_cols = len(k)
     n_steps = int(round(horizon / dt))
     eps = extinction_epsilon
 
-    x = np.full(n_cols, float(params.x0))
-    s = np.full(n_cols, float(params.s0))
-    xb = np.full(n_cols, float(params.x0))
-    x_hi = np.maximum(params.n_nodes - k, params.x0)
+    x, s, xb = c.x0.copy(), c.s0.copy(), c.x0.copy()
+    c.x_hi = np.maximum(c.n_nodes - k, c.x0)
     hazard = _SaturatingHazard(dist, n_cols)
 
     run_max = x.copy()
-    cand_t = np.full(n_cols, np.nan)
-    cand_h = np.full(n_cols, np.nan)
+    cand_t = np.where(x <= eps, 0.0, np.nan)
+    cand_h = cand_t.copy()
     cum = np.zeros(n_cols)
-    g_prev = params.beta * x + params.gamma * s
+    g_prev = c.beta * x + c.gamma * s
 
-    start = x <= eps
-    cand_t[start] = 0.0
-    cand_h[start] = 0.0
-
-    t_end = horizon
+    t_f = np.empty(n_cols)
+    integral = np.empty(n_cols)
+    truncated = np.zeros(n_cols, dtype=bool)
+    saturated = np.zeros(n_cols, dtype=bool)
     for i in range(1, n_steps + 1):
-        x, s, xb = _rk4_step(x, s, xb, dt, params, k, hazard)
-        x = np.clip(x, 0.0, x_hi)
-        s = np.clip(s, 0.0, params.n_sources)
+        x, s, xb = _rk4_step(x, s, xb, dt, c, c.k, hazard)
+        x = np.clip(x, 0.0, c.x_hi)
+        s = np.clip(s, 0.0, c.n_sources)
         if not (np.isfinite(x).all() and np.isfinite(s).all()
                 and np.isfinite(xb).all()):
             bad = int(np.nonzero(~np.isfinite(x) | ~np.isfinite(s)
                                  | ~np.isfinite(xb))[0][0])
             raise RuntimeError(
                 f"non-finite state at step {i} (t={i * dt:g}) "
-                f"for k_protected={k[bad]:g}")
-        g = params.beta * x + params.gamma * s
+                f"for k_protected={c.k[bad]:g} "
+                f"in the table with n_nodes={c.n_nodes[bad]:g}")
+        g = c.beta * x + c.gamma * s
         cum += 0.5 * dt * (g_prev + g)
         g_prev = g
 
@@ -355,25 +415,25 @@ def batch_extinction_stats(params: SystemParams, k_values: np.ndarray,
         cand_t[hit] = i * dt
         cand_h[hit] = cum[hit]
 
-        if i % 50 == 0 and not np.isnan(cand_t).any():
-            # safe to stop early only if no column can regrow above epsilon
-            h_now = hazard.last
-            if params.delta_s > 0:
-                s_cap = np.maximum(
-                    s, params.lambda_influence * h_now * params.n_sources
-                    / params.delta_s)
-            else:
-                s_cap = np.full(n_cols, float(params.n_sources))
-            s_cap = np.minimum(s_cap, params.n_sources)
-            pool = np.maximum(params.n_nodes - k, 0.0)
-            subcritical = (params.beta * pool <= 0.95 * params.delta) | (x <= 0)
-            forcing_ok = ((params.gamma * s_cap + params.beta * x) * pool
-                          <= 0.5 * params.delta * eps)
-            if (x <= 0.5 * eps).all() and subcritical.all() and forcing_ok.all():
-                t_end = i * dt
-                break
+        if i % 50 == 0:
+            done = _stoppable(c, x, s, hazard.last, cand_t, eps)
+            if done.any():
+                cols = c.col[done]
+                t_f[cols] = cand_t[done]
+                integral[cols] = cand_h[done]
+                saturated[cols] = hazard.saturated[done]
+                keep = ~done
+                x, s, xb, run_max, cand_t, cand_h, cum, g_prev = (
+                    a[keep] for a in (x, s, xb, run_max, cand_t, cand_h,
+                                      cum, g_prev))
+                hazard.keep(keep)
+                c = SimpleNamespace(**{n: v[keep] for n, v in vars(c).items()})
+                if not keep.any():
+                    break
 
-    truncated = np.isnan(cand_t)
-    t_f = np.where(truncated, t_end, cand_t)
-    integral = np.where(truncated, cum, cand_h)
-    return t_f, integral, truncated, hazard.saturated.copy()
+    late = np.isnan(cand_t)
+    truncated[c.col] = late
+    t_f[c.col] = np.where(late, horizon, cand_t)
+    integral[c.col] = np.where(late, cum, cand_h)
+    saturated[c.col] = hazard.saturated
+    return t_f, integral, truncated, saturated

@@ -8,7 +8,7 @@ the polynomial is monotone and plain bisection is unconditionally safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -22,6 +22,7 @@ from .risk import risk_profile
 RESIDUAL_TOL = 1e-9
 INTERVAL_TOL = 1e-12
 _SCAN_POINTS = 1000
+_SCAN_BLOCK = 64  # grid rows per binom.pmf call; bounds the weight matrix
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class MixerProfile:
 @dataclass(frozen=True)
 class NoInteriorEquilibrium:
     boundary: int  # 0: nobody updates, 1: everybody updates
-    reason: str = ""
+    # why the boundary was returned; a diagnostic, not part of the result
+    reason: str = field(default="", compare=False)
 
 
 EquilibriumResult = Union[Pure, FullyMixed, MixerProfile, NoInteriorEquilibrium]
@@ -86,6 +88,18 @@ def _bernstein_gap(gap: np.ndarray, p: float) -> float:
     return float(weights @ gap)
 
 
+def _bernstein_scan(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """_bernstein_gap at every p of grid, in blocks of _SCAN_BLOCK rows.
+
+    A block's matrix product may round differently from the one-p dot
+    product in the last bits; the scan only reads the signs."""
+    m = len(gap) - 1
+    k = np.arange(m + 1)
+    return np.concatenate([
+        binom.pmf(k, m, grid[lo:lo + _SCAN_BLOCK, None]) @ gap
+        for lo in range(0, len(grid), _SCAN_BLOCK)])
+
+
 def _solve_bernstein(gap: np.ndarray, residual_tol: float = RESIDUAL_TOL,
                      interval_tol: float = INTERVAL_TOL):
     """Root of the monotone Bernstein polynomial; returns (p, residual) or a
@@ -93,12 +107,16 @@ def _solve_bernstein(gap: np.ndarray, residual_tol: float = RESIDUAL_TOL,
     f0 = _bernstein_gap(gap, 0.0)
     f1 = _bernstein_gap(gap, 1.0)
     if f0 <= 0:
-        return NoInteriorEquilibrium(0)
+        return NoInteriorEquilibrium(
+            0, reason=f"expected gap at p=0 is {f0:.6g} <= 0: updating "
+            "does not pay even when nobody else updates")
     if f1 >= 0:
-        return NoInteriorEquilibrium(1)
+        return NoInteriorEquilibrium(
+            1, reason=f"expected gap at p=1 is {f1:.6g} >= 0: updating "
+            "pays even when everybody else updates")
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    vals = np.array([_bernstein_gap(gap, p) for p in grid])
+    vals = _bernstein_scan(gap, grid)
     neg_seen = False
     for v in vals:
         if v < 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -20,7 +19,8 @@ import numpy as np
 from . import equilibrium as eq
 from .dynamics import (DEFAULT_DT, DEFAULT_HORIZON, SystemParams,
                        ThresholdDistribution, Trajectory, integrate)
-from .risk import infection_probability, risk_profile
+from .risk import (CACHE_SIZE, infection_probability, risk_profile,
+                   risk_profiles)
 
 MAX_TRAJECTORY_ROWS = 2000
 
@@ -63,7 +63,8 @@ def _fmt(value) -> str:
 
 
 def _apply_sweep(base: SystemParams, param: str, value):
-    """Returns (params, k_protected or None)."""
+    """Returns (params, k_protected or None); None means the point runs at
+    its equilibrium."""
     if param == "p":
         if not 0.0 <= value <= 1.0:
             raise ValueError("activation probability sweep values must lie in [0,1]")
@@ -75,6 +76,16 @@ def _apply_sweep(base: SystemParams, param: str, value):
     return dataclasses.replace(base, **{param: value}), None
 
 
+_EQUILIBRIUM_OUTPUTS = ("p_star", "psi", "gain", "u_c_star")
+
+
+def _needs_table(spec: ExperimentSpec) -> bool:
+    """Equilibrium outputs read a risk table, and so does every sweep over a
+    model parameter, whose trajectories run at the equilibrium."""
+    return (spec.sweep[0] not in _SPECIAL_SWEEPS
+            or any(o in _EQUILIBRIUM_OUTPUTS for o in spec.outputs))
+
+
 def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
     table = risk_profile(params, spec.dist, horizon=spec.horizon, dt=spec.dt)
     result = eq.mixed_ne(table, params)
@@ -83,15 +94,11 @@ def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
     return result.p_star
 
 
-def _run_point(spec: ExperimentSpec, value) -> Dict[str, object]:
-    params, k = _apply_sweep(spec.base, spec.sweep[0], value)
+def _run_point(spec: ExperimentSpec, value, params: SystemParams,
+               k: Optional[float]) -> Dict[str, object]:
     row: Dict[str, object] = {spec.sweep[0]: value}
 
-    needs_equilibrium = any(o in ("p_star", "psi", "gain", "u_c_star")
-                            for o in spec.outputs)
     p_star: Optional[float] = None
-    if needs_equilibrium or k is None:
-        table = risk_profile(params, spec.dist, horizon=spec.horizon, dt=spec.dt)
     if k is None:
         # sweeps over model parameters run the trajectory at equilibrium
         p_star = _equilibrium_p(spec, params)
@@ -119,6 +126,8 @@ def _run_point(spec: ExperimentSpec, value) -> Dict[str, object]:
                 p_star = _equilibrium_p(spec, params)
             row["gain"] = eq.cost_gain(p_star)
         elif out == "psi":
+            table = risk_profile(params, spec.dist, horizon=spec.horizon,
+                                 dt=spec.dt)
             row["psi"] = eq.pure_ne(table, params).psi
         elif out == "u_c_star":
             row["u_c_star"] = eq.critical_update_cost(params, spec.dist,
@@ -137,16 +146,28 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
             fh.write("\n")
 
 
-def run(spec: ExperimentSpec, out_dir: Optional[str] = None,
-        max_workers: Optional[int] = None) -> List[Dict[str, object]]:
-    """Execute the sweep; rows come back sorted by sweep value regardless of
-    completion order.  When out_dir is given, CSV files are written there.
+def run(spec: ExperimentSpec,
+        out_dir: Optional[str] = None) -> List[Dict[str, object]]:
+    """Execute the sweep; rows come back sorted by sweep value.  Every risk
+    table the sweep reads is built up front in one stacked batch and cached
+    (one batch per CACHE_SIZE points), then the points run one after
+    another in this thread and read their tables from the cache.  When
+    out_dir is given, CSV files are written there.
     """
     param, values = spec.sweep
+    points = [_apply_sweep(spec.base, param, v) for v in values]
     order = sorted(range(len(values)), key=lambda i: values[i])
-    with ThreadPoolExecutor(max_workers=max_workers or min(8, len(values))) as pool:
-        computed = list(pool.map(lambda v: _run_point(spec, v), values))
-    rows = [computed[i] for i in order]
+    needs_table = _needs_table(spec)
+    # a block reads no more tables than the cache holds, so each table is
+    # still cached when its points read it
+    block = CACHE_SIZE if needs_table else len(order)
+    rows = []
+    for lo in range(0, len(order), block):
+        chunk = order[lo:lo + block]
+        if needs_table:
+            risk_profiles([points[i][0] for i in chunk], spec.dist,
+                          horizon=spec.horizon, dt=spec.dt)
+        rows += [_run_point(spec, values[i], *points[i]) for i in chunk]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -8,8 +8,10 @@ probability of being infected at least once before virus extinction is
 from __future__ import annotations
 
 import dataclasses
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -17,7 +19,12 @@ from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, SystemParams, ThresholdDistribution,
                        Trajectory, batch_extinction_stats)
 
-_RISK_CHUNK = 256
+CACHE_SIZE = 64  # risk tables kept for reuse
+
+# risk tables by (cost-free params, dist, horizon, dt, epsilon), least
+# recently used first
+_CACHE: OrderedDict = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -76,21 +83,43 @@ def risk_profile(params: SystemParams,
     update/infection costs do not enter the dynamics, so the cache also
     serves every cost variation of the same rate parameters.
     """
-    base = dataclasses.replace(params, infection_cost=0.0, update_cost=0.0)
-    return _risk_profile_cached(base, dist, horizon, dt, extinction_epsilon)
+    return risk_profiles([params], dist, horizon, dt, extinction_epsilon)[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _risk_profile_cached(params: SystemParams, dist: ThresholdDistribution,
-                         horizon: float, dt: float,
-                         extinction_epsilon: float) -> np.ndarray:
-    ks = np.arange(params.n_nodes + 1)
-    out = np.empty(params.n_nodes + 1)
-    for lo in range(0, len(ks), _RISK_CHUNK):
-        chunk = ks[lo:lo + _RISK_CHUNK]
+def risk_profiles(params_list: Sequence[SystemParams],
+                  dist: ThresholdDistribution = DEFAULT_DIST,
+                  horizon: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
+                  extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
+                  ) -> List[np.ndarray]:
+    """The risk_profile table of every parameter set in params_list.
+
+    Tables already in the cache are served from it; every missing one is
+    built in a single stacked batch integration and then cached.  Each is
+    bit-identical to a build of its own.
+    """
+    keys = [(dataclasses.replace(p, infection_cost=0.0, update_cost=0.0),
+             dist, horizon, dt, extinction_epsilon) for p in params_list]
+    found = {}
+    with _CACHE_LOCK:
+        for key in keys:
+            if key in _CACHE:
+                _CACHE.move_to_end(key)
+                found[key] = _CACHE[key]
+    missing = [key for key in dict.fromkeys(keys) if key not in found]
+    if missing:
+        sizes = [key[0].n_nodes + 1 for key in missing]
         _, integral, _, _ = batch_extinction_stats(
-            params, chunk, dist, horizon=horizon, dt=dt,
-            extinction_epsilon=extinction_epsilon)
-        out[lo:lo + _RISK_CHUNK] = -np.expm1(-integral)
-    out.flags.writeable = False
-    return out
+            [key[0] for key, n in zip(missing, sizes) for _ in range(n)],
+            np.concatenate([np.arange(n) for n in sizes]), dist,
+            horizon=horizon, dt=dt, extinction_epsilon=extinction_epsilon)
+        for key, part in zip(missing,
+                             np.split(integral, np.cumsum(sizes)[:-1])):
+            table = -np.expm1(-part)
+            table.flags.writeable = False
+            found[key] = table
+        with _CACHE_LOCK:
+            for key in missing:
+                _CACHE[key] = found[key]
+            while len(_CACHE) > CACHE_SIZE:
+                _CACHE.popitem(last=False)
+    return [found[key] for key in keys]

@@ -5,7 +5,7 @@ import pytest
 
 from virusgame.dynamics import (DEFAULT_EXTINCTION_EPSILON, SystemParams,
                                 SystemState, ThresholdDistribution,
-                                derivatives, integrate)
+                                batch_extinction_stats, derivatives, integrate)
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -58,6 +58,16 @@ class TestThresholdDistribution:
         with pytest.raises(ValueError):
             ThresholdDistribution.weibull(-1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        for make in (lambda: ThresholdDistribution.exponential(bad),
+                     lambda: ThresholdDistribution.uniform(0.0, bad),
+                     lambda: ThresholdDistribution.uniform(bad, 1.0),
+                     lambda: ThresholdDistribution.weibull(bad, 2.0),
+                     lambda: ThresholdDistribution.weibull(2.0, bad)):
+            with pytest.raises(ValueError):
+                make()
+
 
 class TestSystemParams:
     def test_rejects_negative_rate(self):
@@ -73,6 +83,12 @@ class TestSystemParams:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             dataclasses.replace(FIG3, n_nodes=1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        for field in dataclasses.fields(SystemParams):
+            with pytest.raises(ValueError, match=field.name):
+                dataclasses.replace(FIG3, **{field.name: bad})
 
 
 class TestDerivatives:
@@ -182,3 +198,20 @@ class TestIntegrate:
             integrate(FIG3, 0.0, EXP100, horizon=0.0, dt=0.1)
         with pytest.raises(ValueError):
             integrate(FIG3, 0.0, EXP100, horizon=1.0, dt=2.0)
+
+
+class TestBatchExtinctionStats:
+    def test_non_finite_state_names_column_and_table(self):
+        small = dataclasses.replace(FIG3, n_nodes=20)
+        blowup = dataclasses.replace(FIG3, n_nodes=30, beta=1e300, gamma=1e300)
+        params = [small] * 21 + [blowup] * 31
+        k = np.concatenate([np.arange(21), np.arange(31)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError,
+                               match="k_protected=0 in the table with n_nodes=30"):
+                batch_extinction_stats(params, k, EXP100, horizon=10.0)
+
+    def test_one_parameter_set_per_column(self):
+        with pytest.raises(ValueError):
+            batch_extinction_stats([FIG3] * 3, np.arange(4), EXP100,
+                                   horizon=10.0)

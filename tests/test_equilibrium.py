@@ -129,6 +129,21 @@ class TestMixedNE:
         signs = np.sign(vals[vals != 0.0])
         assert (np.diff(signs) != 0).sum() == 1
 
+    def test_blocked_scan_signs_match_per_p_scan(self):
+        grid = np.linspace(0.0, 1.0, 1000)
+        real = gap_table(risk_profile(FIG3, EXP100), FIG3)[:FIG3.n_nodes]
+        for gaps in (real, np.array([0.3, 0.1, -0.1, -0.3, -0.5]),
+                     np.array([0.2])):
+            blocked = eq._bernstein_scan(gaps, grid)
+            per_p = [eq._bernstein_gap(gaps, p) for p in grid]
+            assert np.array_equal(np.sign(blocked), np.sign(per_p))
+
+    def test_boundary_reasons_give_gap_sign(self):
+        up = eq.mixed_ne(np.full(6, 0.4), small_params(update_cost=0.1))
+        assert "gap at p=1 is 0.3 >= 0" in up.reason
+        down = eq.mixed_ne(np.full(6, 0.2), small_params(update_cost=0.5))
+        assert "gap at p=0 is -0.3 <= 0" in down.reason
+
     def test_nonmonotone_polynomial_detected(self):
         # gap dips negative then recovers: sign pattern -,+ must be refused
         gaps = np.array([0.5, -2.0, -2.0, 2.5, -0.6])

@@ -1,12 +1,15 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from virusgame import experiments, risk
 from virusgame.dynamics import SystemParams, ThresholdDistribution
 from virusgame.experiments import (ExperimentSpec, MAX_TRAJECTORY_ROWS,
                                    builtin_suite, fig8_ratio_variants,
                                    get_builtin, run)
+from virusgame.risk import CACHE_SIZE
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 
@@ -89,6 +92,36 @@ class TestRun:
         assert rows[0]["p_star"] >= rows[1]["p_star"]
         for row in rows:
             assert 0.0 <= row["p_star"] <= 1.0
+
+    def test_sweep_starts_no_threads(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        read = experiments.risk_profile
+
+        def spy(*args, **kwargs):
+            seen.append(threading.active_count())
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "risk_profile", spy)
+        run(small_spec(sweep=("n_nodes", (20.0, 30.0, 40.0)),
+                       outputs=("p_star", "psi"), horizon=100.0))
+        assert seen and set(seen) == {before}
+
+    def test_sweep_larger_than_cache_builds_each_table_once(self, monkeypatch):
+        calls = []
+        build = risk.batch_extinction_stats
+
+        def spy(params, k_values, *args, **kwargs):
+            calls.append(len(set(params)))
+            return build(params, k_values, *args, **kwargs)
+
+        monkeypatch.setattr(risk, "batch_extinction_stats", spy)
+        n_values = tuple(float(n) for n in range(2, CACHE_SIZE + 3))
+        spec = small_spec(sweep=("n_nodes", n_values), outputs=("p_star",),
+                          horizon=1.0)
+        rows = run(spec)
+        assert len(rows) == CACHE_SIZE + 1
+        assert calls == [CACHE_SIZE, 1]
 
     def test_invalid_p_value_raises(self):
         spec = small_spec(sweep=("p", (1.5,)))
