@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import equilibrium as eq
@@ -170,8 +171,12 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("--reps must be at least 100")
     if not 0 <= k <= cfg.params.n_nodes:
         raise ConfigError("--k-protected must lie in 0..n_nodes")
-    estimate, std_error = empirical_infection_probability(
-        cfg.params, cfg.dist, k, args.reps, args.seed, horizon=cfg.horizon)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate, std_error = empirical_infection_probability(
+            cfg.params, cfg.dist, k, args.reps, args.seed, horizon=cfg.horizon)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     traj = integrate(cfg.params, k, cfg.dist, horizon=cfg.horizon, dt=cfg.dt,
                      extinction_epsilon=cfg.extinction_epsilon)
     model = infection_probability(traj, cfg.params).p_infect

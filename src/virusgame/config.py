@@ -4,6 +4,7 @@ integrator settings and a threshold distribution block."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .dynamics import (DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
@@ -74,6 +75,13 @@ def _parse_dist(block) -> ThresholdDistribution:
         raise ConfigError(str(exc)) from exc
 
 
+def _count(key, value) -> int:
+    """A node or source count: an integer, or a float with no fraction."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -89,7 +97,8 @@ def parse_config(doc: dict) -> RunConfig:
             values[key] = doc[key]
     try:
         params = SystemParams(
-            n_nodes=int(values["n_nodes"]), n_sources=int(values["n_sources"]),
+            n_nodes=_count("n_nodes", values["n_nodes"]),
+            n_sources=_count("n_sources", values["n_sources"]),
             **{k: float(values[k]) for k in _PARAM_KEYS
                if k not in ("n_nodes", "n_sources")})
     except (TypeError, ValueError) as exc:
@@ -103,8 +112,14 @@ def parse_config(doc: dict) -> RunConfig:
         eps = float(doc.get("extinction_epsilon", DEFAULT_EXTINCTION_EPSILON))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    for key, value in (("dt", dt), ("horizon", horizon),
+                       ("extinction_epsilon", eps)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     if dt <= 0 or horizon <= 0 or dt > horizon:
         raise ConfigError("require 0 < dt <= horizon")
+    if eps <= 0:
+        raise ConfigError("extinction_epsilon must be positive")
     return RunConfig(params=params, dist=dist, dt=dt, horizon=horizon,
                      extinction_epsilon=eps)
 

@@ -13,6 +13,10 @@ deactivated source redraws a fresh threshold and may be influenced again.
 from __future__ import annotations
 
 import csv
+import heapq
+import math
+import warnings
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -26,10 +30,6 @@ EVENT_SRC_ACTIVATE = "src_activate"
 EVENT_SRC_DEACTIVATE = "src_deactivate"
 
 DEFAULT_EVENT_CAP = 1_000_000
-
-# node states
-_SUSCEPTIBLE, _INFECTED, _PROTECTED = 0, 1, 2
-
 
 @dataclass
 class SimulationResult:
@@ -56,30 +56,44 @@ class SimulationResult:
 def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
                   k_protected: int, seed, horizon: float,
                   event_cap: int = DEFAULT_EVENT_CAP) -> SimulationResult:
-    """Next-reaction simulation of the full agent system.
+    """Gillespie direct-method simulation of the full agent system.
 
     Reactions: susceptible nodes are infected at rate beta*X + gamma*S each,
     infected nodes cure at rate delta, active sources deactivate at rate
     delta_s, and threshold-crossed inactive sources activate at the
     influence rate.  Deterministic given the seed.
+
+    The node and source sets are kept between events as sorted lists, and
+    the inactive sources still below their threshold wait in a heap keyed
+    by threshold, so an event costs O(log) lookups plus a list shift
+    instead of rescans of every node and source.  Draw i of a set picks its
+    i-th smallest member, as a boolean-mask scan would.
     """
     if not 0 <= k_protected <= params.n_nodes:
         raise ValueError("k_protected must lie in 0..n_nodes")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
     rng = np.random.default_rng(seed)
 
     n, ns = params.n_nodes, params.n_sources
-    node = np.full(n, _SUSCEPTIBLE, dtype=np.int8)
-    node[:k_protected] = _PROTECTED
     x0 = min(int(round(params.x0)), n - k_protected)
-    node[k_protected:k_protected + x0] = _INFECTED
+    infected = list(range(k_protected, k_protected + x0))
+    susceptible = list(range(k_protected + x0, n))
 
-    active = np.zeros(ns, dtype=bool)
     s0 = min(int(round(params.s0)), ns)
-    active[:s0] = True
-    theta = dist.sample(rng, ns)
+    active = list(range(s0))
+    theta = dist.sample(rng, ns).tolist()
+    crossed = []          # inactive, threshold <= cum: may activate
+    waiting = []          # inactive, threshold > cum: heap of (theta, id)
+    for src in range(s0, ns):
+        if theta[src] <= x0:
+            crossed.append(src)
+        else:
+            waiting.append((theta[src], src))
+    heapq.heapify(waiting)
 
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    delta_s, lam = params.delta_s, params.lambda_influence
     ever_infected = np.zeros(n, dtype=bool)
     cum = x0
     t = 0.0
@@ -90,15 +104,12 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     truncated = False
 
     while True:
-        x = int((node == _INFECTED).sum())
-        s = int(active.sum())
-        susceptible = np.flatnonzero(node == _SUSCEPTIBLE)
-        crossed = np.flatnonzero(~active & (theta <= cum))
-
-        r_inf = (params.beta * x + params.gamma * s) * len(susceptible)
-        r_cure = params.delta * x
-        r_deact = params.delta_s * s
-        r_act = params.lambda_influence * len(crossed)
+        x = len(infected)
+        s = len(active)
+        r_inf = (beta * x + gamma * s) * len(susceptible)
+        r_cure = delta * x
+        r_deact = delta_s * s
+        r_act = lam * len(crossed)
         total = r_inf + r_cure + r_deact + r_act
         if total <= 0:
             break
@@ -109,37 +120,53 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
             truncated = True
             break
 
-        u = rng.uniform(0.0, total)
+        # rng.uniform(0.0, total) computes 0.0 + total * rng.random(); the
+        # product alone is the same double from the same draw, without
+        # uniform's argument checks
+        u = total * rng.random()
         if u < r_inf:
-            target = int(susceptible[rng.integers(len(susceptible))])
-            node[target] = _INFECTED
+            target = susceptible.pop(int(rng.integers(len(susceptible))))
+            insort(infected, target)
             ever_infected[target] = True
             cum += 1
+            while waiting and waiting[0][0] <= cum:
+                insort(crossed, heapq.heappop(waiting)[1])
             events.append((t, EVENT_INFECT, target))
         elif u < r_inf + r_cure:
-            infected = np.flatnonzero(node == _INFECTED)
-            target = int(infected[rng.integers(len(infected))])
-            node[target] = _SUSCEPTIBLE
+            target = infected.pop(int(rng.integers(len(infected))))
+            insort(susceptible, target)
             events.append((t, EVENT_CURE, target))
         elif u < r_inf + r_cure + r_deact:
-            act_idx = np.flatnonzero(active)
-            target = int(act_idx[rng.integers(len(act_idx))])
-            active[target] = False
-            theta[target] = dist.sample(rng, 1)[0]
+            target = active.pop(int(rng.integers(len(active))))
+            redrawn = float(dist.sample(rng, 1)[0])
+            if redrawn <= cum:
+                insort(crossed, target)
+            else:
+                heapq.heappush(waiting, (redrawn, target))
             events.append((t, EVENT_SRC_DEACTIVATE, target))
         else:
-            target = int(crossed[rng.integers(len(crossed))])
-            active[target] = True
+            target = crossed.pop(int(rng.integers(len(crossed))))
+            insort(active, target)
             events.append((t, EVENT_SRC_ACTIVATE, target))
 
         times.append(t)
-        x_path.append(int((node == _INFECTED).sum()))
-        s_path.append(int(active.sum()))
+        x_path.append(len(infected))
+        s_path.append(len(active))
 
     return SimulationResult(events=events, times=np.array(times),
                             x_path=np.array(x_path), s_path=np.array(s_path),
                             ever_infected=ever_infected,
                             cumulative_infections=cum, truncated=truncated)
+
+
+def _warn_truncated(truncated: int, n_reps: int) -> None:
+    """Say when replications stopped at the event cap before the horizon:
+    their partial outcomes are still averaged in."""
+    if truncated:
+        warnings.warn(
+            f"{truncated} of {n_reps} replications hit the event cap before "
+            "the horizon; their partial outcomes are included in the average",
+            RuntimeWarning, stacklevel=3)
 
 
 def empirical_infection_probability(params: SystemParams,
@@ -148,6 +175,9 @@ def empirical_infection_probability(params: SystemParams,
                                     horizon: float = 400.0):
     """Fraction of unprotected nodes ever infected, averaged over seeded
     replications, with the standard error of that mean across replications.
+
+    A replication that hits the event cap counts with its partial outcome,
+    and a RuntimeWarning names how many did.
     """
     if n_reps < 100:
         raise ValueError("need at least 100 replications")
@@ -155,9 +185,12 @@ def empirical_infection_probability(params: SystemParams,
     if n_exposed == 0:
         return 0.0, 0.0
     fractions = np.empty(n_reps)
+    truncated = 0
     for rep in range(n_reps):
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
         fractions[rep] = res.ever_infected.sum() / n_exposed
+        truncated += res.truncated
+    _warn_truncated(truncated, n_reps)
     estimate = float(fractions.mean())
     std_error = float(fractions.std(ddof=1) / np.sqrt(n_reps))
     return estimate, std_error
@@ -169,9 +202,12 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
     """Replication-mean infected count on a uniform grid (the ODE check)."""
     t_grid = np.arange(int(round(horizon / dt)) + 1) * dt
     acc = np.zeros_like(t_grid)
+    truncated = 0
     for rep in range(n_reps):
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
         acc += res.x_at(t_grid)
+        truncated += res.truncated
+    _warn_truncated(truncated, n_reps)
     return t_grid, acc / n_reps
 
 

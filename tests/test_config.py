@@ -1,0 +1,57 @@
+import json
+import math
+
+import pytest
+
+from virusgame.cli import EXIT_CONFIG, main
+from virusgame.config import ConfigError, parse_config
+
+SMALL_CONFIG = {
+    "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
+    "delta": 0.1, "delta_s": 0.1, "lambda_influence": 5e-6,
+    "x0": 0.0, "s0": 3.0, "infection_cost": 1.0, "update_cost": 0.1,
+    "horizon": 300.0, "dt": 0.1,
+}
+
+
+@pytest.mark.parametrize("override", [
+    {"dt": math.nan},
+    {"dt": math.inf},
+    {"horizon": math.nan},
+    {"horizon": math.inf},
+    {"extinction_epsilon": math.nan},
+    {"extinction_epsilon": math.inf},
+    {"extinction_epsilon": 0.0},
+    {"extinction_epsilon": -1e-3},
+    {"n_nodes": 50.7},
+    {"n_sources": 10.5},
+    {"n_nodes": math.nan},
+    {"n_sources": math.inf},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_invalid_settings_refused(override):
+    with pytest.raises(ConfigError):
+        parse_config({**SMALL_CONFIG, **override})
+
+
+def test_whole_float_counts_accepted():
+    cfg = parse_config({**SMALL_CONFIG, "n_nodes": 50.0, "n_sources": 10.0})
+    assert cfg.params.n_nodes == 50 and isinstance(cfg.params.n_nodes, int)
+    assert cfg.params.n_sources == 10
+
+
+def test_valid_settings_kept():
+    cfg = parse_config({**SMALL_CONFIG, "extinction_epsilon": 1e-4})
+    assert (cfg.dt, cfg.horizon, cfg.extinction_epsilon) == (0.1, 300.0, 1e-4)
+
+
+@pytest.mark.parametrize("command", [
+    ["dump-config"],
+    ["simulate", "--out", "unused"],
+    ["oracle", "--reps", "100", "--seed", "1", "--out", "unused"],
+])
+def test_cli_nan_dt_exits_config(tmp_path, capsys, command):
+    path = tmp_path / "nan_dt.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "dt": math.nan}))
+    argv = command[:1] + ["--config", str(path)] + command[1:]
+    assert main(argv) == EXIT_CONFIG == 1
+    assert "dt must be finite" in capsys.readouterr().err

@@ -1,0 +1,196 @@
+"""Seeded byte-identity of the Gillespie oracle.
+
+Every field of ``simulate_ctmc``'s result is hashed over a small case
+matrix and compared with a recorded SHA-256.  The digests pin the exact
+event sequence a seed produces, so any change to the order of RNG draws,
+to how a draw maps to a node or source, or to the float expression of a
+rate shows up here.  A plain rescanning implementation of the same chain
+serves as the reference on a wider set of random cases.
+"""
+
+import dataclasses
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from virusgame.dynamics import SystemParams, ThresholdDistribution
+from virusgame.oracle import (DEFAULT_EVENT_CAP, EVENT_CURE, EVENT_INFECT,
+                              EVENT_SRC_ACTIVATE, EVENT_SRC_DEACTIVATE,
+                              SimulationResult, simulate_ctmc)
+
+BASE = SystemParams(n_nodes=30, n_sources=10, beta=1e-3, gamma=1e-3,
+                    delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
+                    x0=0.0, s0=3.0, infection_cost=1.0, update_cost=0.1)
+
+EXP100 = ThresholdDistribution.exponential(100.0)
+EXP3 = ThresholdDistribution.exponential(3.0)
+UNIF = ThresholdDistribution.uniform(1.0, 8.0)
+WEIB = ThresholdDistribution.weibull(1.5, 4.0)
+INSTANT = ThresholdDistribution.uniform(0.0, 1e-9)
+
+# supercritical: infections keep coming until the horizon
+BUSY = dataclasses.replace(BASE, beta=0.01)
+# sources cross gradually and activate fast enough to be seen
+LIVELY = dataclasses.replace(BASE, beta=4e-3, lambda_influence=0.05)
+
+# name -> (params, dist, k_protected, seed, horizon, event_cap)
+CASES = {
+    "exp100_k0": (BUSY, EXP100, 0, 7, 150.0, None),
+    "exp100_x0_k8": (dataclasses.replace(BUSY, x0=2.0), EXP100, 8, 13, 150.0,
+                     None),
+    "exp3_x0": (dataclasses.replace(LIVELY, x0=4.0), EXP3, 0, 5, 200.0, None),
+    "uniform_k5": (dataclasses.replace(LIVELY, beta=0.01, x0=2.0), UNIF, 5,
+                   3, 200.0, None),
+    "weibull_x0_k10": (dataclasses.replace(LIVELY, x0=3.0), WEIB, 10, 9,
+                       200.0, None),
+    "instant_activation": (dataclasses.replace(
+        BASE, x0=2.0, s0=0.0, delta_s=0.0, lambda_influence=50.0, beta=0.0,
+        gamma=0.0, delta=0.0), INSTANT, 0, 3, 50.0, None),
+    "instant_cycling": (dataclasses.replace(
+        BASE, x0=1.0, s0=2.0, lambda_influence=0.5), INSTANT, 4, 13, 60.0,
+        None),
+    "event_cap": (dataclasses.replace(BASE, beta=0.02, x0=5.0), EXP100, 0, 0,
+                  1000.0, 25),
+}
+
+GOLDEN = {
+    "exp100_k0":
+        "844c7f227e1ecfd72c38272f79a918241bff9c8284d44ca5e3a2fdec5ef13419",
+    "exp100_x0_k8":
+        "ffcd86b332a1ad095dcae77e5b0ae7633aa2ea3f5097db6d5ae296701936dd54",
+    "exp3_x0":
+        "2ceb64a2092cdcfe46b8fc108f75765efca68da1cb44cd42d6e46ddc5853433f",
+    "uniform_k5":
+        "a8595e076ac65d210ca5842f002d119ed42e8880a0ef0250a3c6333e6efc55e9",
+    "weibull_x0_k10":
+        "b3a27575529d954e2230b3b42b9af941fe9ec58f40c6ac81d98fce9c7be0a556",
+    "instant_activation":
+        "056c7c7269acecf80a1b583ec5cd0ff21fa1104d67c5743fc53a6e77559df84a",
+    "instant_cycling":
+        "6dc979e04957a36391d22e19f055b33b94e890fda4f3ef9610ba844f567528b4",
+    "event_cap":
+        "52960a92c8be761cd3bccf17e641c7db1f2196e048ca6d894ae3ebbf0390b0d5",
+}
+
+
+def _run(name):
+    params, dist, k, seed, horizon, cap = CASES[name]
+    kwargs = {} if cap is None else {"event_cap": cap}
+    return simulate_ctmc(params, dist, k, seed=seed, horizon=horizon, **kwargs)
+
+
+def _digest(res):
+    h = hashlib.sha256()
+    h.update(repr(res.events).encode())
+    for arr in (res.times, res.x_path, res.s_path, res.ever_infected):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr((res.cumulative_infections, res.truncated)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_seeded_result_is_pinned(name):
+    assert _digest(_run(name)) == GOLDEN[name]
+
+
+def test_matrix_covers_every_event_kind_and_truncation():
+    results = {name: _run(name) for name in CASES}
+    kinds = {kind for res in results.values() for _, kind, _ in res.events}
+    assert kinds == {EVENT_INFECT, EVENT_CURE, EVENT_SRC_ACTIVATE,
+                     EVENT_SRC_DEACTIVATE}
+    assert results["event_cap"].truncated
+    assert not any(res.truncated for name, res in results.items()
+                   if name != "event_cap")
+
+
+def reference_ctmc(params, dist, k_protected, seed, horizon, event_cap):
+    """The direct method with no state kept between events: every rate and
+    candidate set is recomputed from the node and source arrays."""
+    rng = np.random.default_rng(seed)
+    n, ns = params.n_nodes, params.n_sources
+    node = np.zeros(n, dtype=np.int8)       # 0 susceptible, 1 infected
+    node[:k_protected] = 2                  # 2 protected
+    x0 = min(int(round(params.x0)), n - k_protected)
+    node[k_protected:k_protected + x0] = 1
+    active = np.zeros(ns, dtype=bool)
+    s0 = min(int(round(params.s0)), ns)
+    active[:s0] = True
+    theta = dist.sample(rng, ns)
+    ever_infected = np.zeros(n, dtype=bool)
+    cum, t, events, times, x_path, s_path = x0, 0.0, [], [0.0], [x0], [s0]
+    truncated = False
+    while True:
+        x, s = int((node == 1).sum()), int(active.sum())
+        susceptible = np.flatnonzero(node == 0)
+        crossed = np.flatnonzero(~active & (theta <= cum))
+        r_inf = (params.beta * x + params.gamma * s) * len(susceptible)
+        r_cure = params.delta * x
+        r_deact = params.delta_s * s
+        r_act = params.lambda_influence * len(crossed)
+        total = r_inf + r_cure + r_deact + r_act
+        if total <= 0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= horizon:
+            break
+        if len(events) >= event_cap:
+            truncated = True
+            break
+        u = rng.uniform(0.0, total)
+        if u < r_inf:
+            target = int(susceptible[rng.integers(len(susceptible))])
+            node[target] = 1
+            ever_infected[target] = True
+            cum += 1
+            kind = EVENT_INFECT
+        elif u < r_inf + r_cure:
+            infected = np.flatnonzero(node == 1)
+            target = int(infected[rng.integers(len(infected))])
+            node[target] = 0
+            kind = EVENT_CURE
+        elif u < r_inf + r_cure + r_deact:
+            on = np.flatnonzero(active)
+            target = int(on[rng.integers(len(on))])
+            active[target] = False
+            theta[target] = dist.sample(rng, 1)[0]
+            kind = EVENT_SRC_DEACTIVATE
+        else:
+            target = int(crossed[rng.integers(len(crossed))])
+            active[target] = True
+            kind = EVENT_SRC_ACTIVATE
+        events.append((t, kind, target))
+        times.append(t)
+        x_path.append(int((node == 1).sum()))
+        s_path.append(int(active.sum()))
+    return SimulationResult(events=events, times=np.array(times),
+                            x_path=np.array(x_path), s_path=np.array(s_path),
+                            ever_infected=ever_infected,
+                            cumulative_infections=cum, truncated=truncated)
+
+
+def _random_case(rnd):
+    n, ns = rnd.choice([5, 20, 40]), rnd.choice([1, 5, 20])
+    params = SystemParams(
+        n_nodes=n, n_sources=ns, beta=rnd.choice([0.0, 1e-3, 0.01]),
+        gamma=rnd.choice([0.0, 1e-3, 0.01]), delta=rnd.choice([0.0, 0.1]),
+        delta_s=rnd.choice([0.0, 0.1, 0.5]),
+        lambda_influence=rnd.choice([5e-6, 0.05, 1.0]),
+        x0=float(min(n, rnd.choice([0, 1, 4]))),
+        s0=float(min(ns, rnd.choice([0, 2, 5]))),
+        infection_cost=1.0, update_cost=0.1)
+    dist = rnd.choice([EXP100, EXP3, UNIF, WEIB, INSTANT])
+    k = rnd.choice([0, 1, n // 3, n])
+    return (params, dist, k, [rnd.randrange(2**32), 0],
+            rnd.choice([20.0, 150.0]), rnd.choice([DEFAULT_EVENT_CAP, 40]))
+
+
+def test_matches_rescanning_reference():
+    rnd = random.Random(2024)
+    for _ in range(120):
+        case = _random_case(rnd)
+        params, dist, k, seed, horizon, cap = case
+        got = simulate_ctmc(params, dist, k, seed, horizon, event_cap=cap)
+        assert _digest(got) == _digest(reference_ctmc(*case)), case
