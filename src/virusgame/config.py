@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dynamics import (DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, SystemParams, ThresholdDistribution)
@@ -21,8 +21,7 @@ _DIST_PARAMS = {
     "weibull": ("shape", "scale"),
 }
 
-_PARAM_KEYS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
-               "lambda_influence", "x0", "s0", "infection_cost", "update_cost")
+_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 
 _DEFAULTS = {
     "n_nodes": 500, "n_sources": 50, "beta": 1e-4, "gamma": 1e-3,
@@ -61,6 +60,8 @@ def _parse_dist(block) -> ThresholdDistribution:
     if kind not in _DIST_PARAMS:
         raise ConfigError(f"unknown threshold_dist kind {kind!r}")
     raw = block.get("params", {})
+    if not isinstance(raw, dict):
+        raise ConfigError("threshold_dist.params must be an object")
     expected = _DIST_PARAMS[kind]
     unknown = set(raw) - set(expected)
     if unknown:
@@ -70,16 +71,29 @@ def _parse_dist(block) -> ThresholdDistribution:
         raise ConfigError(f"missing threshold_dist params: {sorted(missing)}")
     ctor = getattr(ThresholdDistribution, kind)
     try:
-        return ctor(*(float(raw[name]) for name in expected))
+        return ctor(*(_number(f"threshold_dist.params.{name}", raw[name])
+                      for name in expected))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _number(key, value) -> float:
+    """A JSON number as a float; strings, booleans and null are refused,
+    not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key} is out of range: {exc}") from exc
+
+
 def _count(key, value) -> int:
     """A node or source count: an integer, or a float with no fraction."""
-    if isinstance(value, float) and not value.is_integer():
+    number = _number(key, value)
+    if not number.is_integer():
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -99,19 +113,17 @@ def parse_config(doc: dict) -> RunConfig:
         params = SystemParams(
             n_nodes=_count("n_nodes", values["n_nodes"]),
             n_sources=_count("n_sources", values["n_sources"]),
-            **{k: float(values[k]) for k in _PARAM_KEYS
+            **{k: _number(k, values[k]) for k in _PARAM_KEYS
                if k not in ("n_nodes", "n_sources")})
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
             else ThresholdDistribution.exponential(100.0))
-    try:
-        dt = float(doc.get("dt", DEFAULT_DT))
-        horizon = float(doc.get("horizon", DEFAULT_HORIZON))
-        eps = float(doc.get("extinction_epsilon", DEFAULT_EXTINCTION_EPSILON))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    dt = _number("dt", doc.get("dt", DEFAULT_DT))
+    horizon = _number("horizon", doc.get("horizon", DEFAULT_HORIZON))
+    eps = _number("extinction_epsilon",
+                  doc.get("extinction_epsilon", DEFAULT_EXTINCTION_EPSILON))
     for key, value in (("dt", dt), ("horizon", horizon),
                        ("extinction_epsilon", eps)):
         if not math.isfinite(value):

@@ -8,11 +8,12 @@ the polynomial is monotone and plain bisection is unconditionally safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.stats import binom
 
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_HORIZON,
                        SystemParams, ThresholdDistribution)
@@ -22,7 +23,7 @@ from .risk import risk_profile
 RESIDUAL_TOL = 1e-9
 INTERVAL_TOL = 1e-12
 _SCAN_POINTS = 1000
-_SCAN_BLOCK = 64  # grid rows per binom.pmf call; bounds the weight matrix
+_SCAN_BLOCK = 64  # grid rows per _binom_pmf call; bounds the weight matrix
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,41 @@ def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
     return Pure(hits[0])
 
 
+@lru_cache(maxsize=16)
+def _log_choose(m: int) -> np.ndarray:
+    """log C(m, k) for k = 0..m, read-only.
+
+    Each C(m, k) is an exact integer (C(m, k+1) = C(m, k)(m-k)/(k+1)), so
+    each log is rounded once; differences of lgamma values near
+    lgamma(m+1) would carry that term's rounding into every weight of the
+    row.  Cached because one bisection asks for the same m about forty
+    times."""
+    row = np.empty(m + 1)
+    c = 1
+    for k in range(m + 1):
+        row[k] = math.log(c)
+        c = c * (m - k) // (k + 1)
+    row.flags.writeable = False
+    return row
+
+
+def _binom_pmf(m: int, p) -> np.ndarray:
+    """Binomial(m, p) weights for k = 0..m, in log space.
+
+    p is a scalar (one row of m+1 weights) or a column of shape (r, 1)
+    (r rows).  0 * log 0 counts as 0, so p = 0 and p = 1 give exact
+    one-hot rows."""
+    k = np.arange(m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.where(k == 0, 0.0, k * np.log(p))
+        misses = np.where(k == m, 0.0, (m - k) * np.log1p(-p))
+        return np.exp(_log_choose(m) + hits + misses)
+
+
 def _bernstein_gap(gap: np.ndarray, p: float) -> float:
-    """Expected gap of a focal node against len(gap)-1... opponents mixing
+    """Expected gap of a focal node against len(gap)-1 opponents mixing
     at p: sum_k C(m, k) p^k (1-p)^(m-k) gap[k] with m = len(gap) - 1."""
-    m = len(gap) - 1
-    if m == 0:
-        return float(gap[0])
-    weights = binom.pmf(np.arange(m + 1), m, p)
-    return float(weights @ gap)
+    return float(_binom_pmf(len(gap) - 1, p) @ gap)
 
 
 def _bernstein_scan(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -94,9 +122,8 @@ def _bernstein_scan(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
     A block's matrix product may round differently from the one-p dot
     product in the last bits; the scan only reads the signs."""
     m = len(gap) - 1
-    k = np.arange(m + 1)
     return np.concatenate([
-        binom.pmf(k, m, grid[lo:lo + _SCAN_BLOCK, None]) @ gap
+        _binom_pmf(m, grid[lo:lo + _SCAN_BLOCK, None]) @ gap
         for lo in range(0, len(grid), _SCAN_BLOCK)])
 
 
@@ -190,8 +217,7 @@ def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
     violation = False
     if n_u > 0:
         full_gap = gap_table(risk, params)
-        weights = binom.pmf(np.arange(m + 1), m, p)
-        dev = float(weights @ full_gap[n_u - 1:n_u + m])
+        dev = float(_binom_pmf(m, p) @ full_gap[n_u - 1:n_u + m])
         violation = dev < -residual_tol
     return MixerProfile(n_u=n_u, n_nu=n_nu, p_star=p, residual=res,
                         stability_violation=violation)

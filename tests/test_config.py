@@ -33,6 +33,45 @@ def test_invalid_settings_refused(override):
         parse_config({**SMALL_CONFIG, **override})
 
 
+@pytest.mark.parametrize("override", [
+    {"n_nodes": "50"},
+    {"n_nodes": True},
+    {"n_sources": True},
+    {"beta": "1e-3"},
+    {"update_cost": False},
+    {"x0": None},
+    {"dt": "0.5"},
+    {"horizon": "100"},
+    {"extinction_epsilon": True},
+    {"threshold_dist": {"kind": "exponential", "params": {"mean": "100"}}},
+    {"threshold_dist": {"kind": "uniform", "params": {"lo": 0.0, "hi": True}}},
+], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
+def test_non_numbers_refused(override):
+    with pytest.raises(ConfigError, match="must be a number"):
+        parse_config({**SMALL_CONFIG, **override})
+
+
+@pytest.mark.parametrize("params", [5, ["mean"], "mean"])
+def test_non_object_dist_params_refused(params):
+    with pytest.raises(ConfigError, match="params must be an object"):
+        parse_config({**SMALL_CONFIG, "threshold_dist": {
+            "kind": "exponential", "params": params}})
+
+
+def test_integer_too_large_for_float_refused():
+    with pytest.raises(ConfigError, match="beta is out of range"):
+        parse_config({**SMALL_CONFIG, "beta": 10 ** 400})
+
+
+def test_cli_string_numbers_exit_config(tmp_path, capsys):
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({
+        "n_nodes": "50", "n_sources": True, "beta": "1e-3", "dt": "0.5",
+        "horizon": "100"}))
+    assert main(["dump-config", "--config", str(path)]) == EXIT_CONFIG == 1
+    assert "n_nodes must be a number, got '50'" in capsys.readouterr().err
+
+
 def test_whole_float_counts_accepted():
     cfg = parse_config({**SMALL_CONFIG, "n_nodes": 50.0, "n_sources": 10.0})
     assert cfg.params.n_nodes == 50 and isinstance(cfg.params.n_nodes, int)

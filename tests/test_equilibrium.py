@@ -1,4 +1,9 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +60,69 @@ def random_param_sets(count, seed):
             infection_cost=1.0,
             update_cost=float(rng.uniform(0.02, 0.3))))
     return sets
+
+
+PMF_SIZES = (0, 1, 2, 5, 199, 499, 999)
+PMF_EDGE_PS = (0.0, 1.0, 1e-300, 1.0 - 1e-16)
+PMF_PS = np.concatenate([PMF_EDGE_PS, np.linspace(0.0, 1.0, 101)])
+
+
+class TestBinomPmf:
+    """The numpy kernel against scipy.stats.binom, kept as the reference."""
+
+    @pytest.mark.parametrize("m", PMF_SIZES)
+    def test_column_matches_scipy(self, m):
+        weights = eq._binom_pmf(m, PMF_PS[:, None])
+        assert weights.shape == (len(PMF_PS), m + 1)
+        expected = binom.pmf(np.arange(m + 1), m, PMF_PS[:, None])
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", PMF_SIZES)
+    def test_scalar_matches_column_row(self, m):
+        column = eq._binom_pmf(m, PMF_PS[:, None])
+        for row, p in zip(column, PMF_PS):
+            weights = eq._binom_pmf(m, p)
+            assert weights.shape == (m + 1,)
+            np.testing.assert_array_equal(weights, row)
+
+    @pytest.mark.parametrize("m", PMF_SIZES)
+    def test_log_choose_rounds_exact_coefficients_once(self, m):
+        expected = [math.log(math.comb(m, k)) for k in range(m + 1)]
+        row = eq._log_choose(m)
+        np.testing.assert_array_equal(row, expected)
+        assert not row.flags.writeable
+
+    @pytest.mark.parametrize("m", (1, 5, 999))
+    def test_edges_are_one_hot(self, m):
+        one_hot = np.zeros(m + 1)
+        one_hot[0] = 1.0
+        np.testing.assert_array_equal(eq._binom_pmf(m, 0.0), one_hot)
+        np.testing.assert_array_equal(eq._binom_pmf(m, 1.0), one_hot[::-1])
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in PMF_SIZES:
+                eq._binom_pmf(m, PMF_PS[:, None])
+                for p in PMF_EDGE_PS:
+                    eq._binom_pmf(m, p)
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only; importing it costs about a second
+    of every CLI call's start-up."""
+    src = os.path.dirname(os.path.dirname(eq.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, virusgame, virusgame.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestPureNE:
