@@ -7,7 +7,7 @@ sign of a zero included, so any change to the grouping of a floating-point
 expression, to the clipping of the state or to when the hazard falls back
 shows up here.  The matrix covers the three threshold kinds, protected and
 unprotected populations, a nonzero initial infection, a saturating uniform
-hazard, a stiff case (delta * dt = 10) in which an RK4 stage drives the
+hazard, signed-zero initial values, a stiff case (delta * dt = 10) in which an RK4 stage drives the
 cumulative count below zero, and stacked multi-table batches that stop
 early, truncate at the horizon and saturate.
 """
@@ -34,6 +34,9 @@ STIFF = dataclasses.replace(FIG3, delta=100.0, beta=0.1,
                             lambda_influence=1e-2)
 # sources cross a uniform(0, 5) threshold range and the hazard saturates
 SATURATING = dataclasses.replace(FIG3, lambda_influence=1e-2)
+# -0.0 initials: integrate's clip keeps the sign of a zero and the batch
+# clip does not, and trajectory CSVs print it
+SIGNED_ZERO = dataclasses.replace(FIG3, x0=-0.0, s0=-0.0)
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 UNIF = ThresholdDistribution.uniform(0.0, 50.0)
@@ -55,6 +58,7 @@ INTEGRATE_CASES = {
     "exp_dt_half": (dataclasses.replace(FIG3, n_nodes=50), 10.0, EXP100,
                     400.0, 0.5),
     "stiff_negative_stage": (STIFF, 0.0, EXP100, 20.0, 0.1),
+    "signed_zero_initials": (SIGNED_ZERO, 20.0, EXP100, 50.0, 0.1),
 }
 
 # name -> (params per column, k_values, dist, horizon, dt)
@@ -76,6 +80,8 @@ BATCH_CASES = {
         WEIB, 600.0, 0.1),
     "saturating_uniform": (
         SATURATING, np.arange(0, 101, 5), UNIF5, 200.0, 0.1),
+    "signed_zero_initials": (
+        SIGNED_ZERO, np.arange(0, 101, 25), EXP100, 50.0, 0.1),
 }
 
 INTEGRATE_GOLDEN = {
@@ -95,6 +101,8 @@ INTEGRATE_GOLDEN = {
         "c78026ec6132e9ddb4b16e192e125e6d2ae297c22c23d457fb825e739e532933",
     "stiff_negative_stage":
         "707773cccafc4408b36d895f18d5d7363554c70c84542c15a79ef6de1a8a63e0",
+    "signed_zero_initials":
+        "9c5fe0578eb1fd418b9df462790c9b6002251d7a6ebf61a23301167722fc0a2b",
 }
 
 BATCH_GOLDEN = {
@@ -104,6 +112,8 @@ BATCH_GOLDEN = {
         "98a272171c984d072d19e562e70b5e7410f0494efaa6edb5cb19317ba2875546",
     "saturating_uniform":
         "88f38c6a1eac01968080c681eb8bcff214ae0506e1b8158ec93e6911aed1a2e0",
+    "signed_zero_initials":
+        "7e157784cc417edc72effe38f4ba548cc80a0950cb8af6f62ed23b02c550bb2c",
 }
 
 
