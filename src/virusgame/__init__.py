@@ -1,7 +1,6 @@
 """Simulation and equilibrium toolkit for the network virus-protection game."""
 
-from .dynamics import (SystemParams, SystemState, ThresholdDistribution,
-                       Trajectory, derivatives, integrate)
+from .dynamics import SystemParams, ThresholdDistribution, Trajectory, integrate
 from .equilibrium import (EquilibriumResult, FullyMixed, MixerProfile,
                           NoInteriorEquilibrium, Pure, cost_gain,
                           critical_update_cost, epidemic_threshold, mixed_ne,
@@ -11,8 +10,7 @@ from .oracle import empirical_infection_probability, simulate_ctmc
 from .risk import InfectionRisk, infection_probability, remaining_risk, risk_profile
 
 __all__ = [
-    "SystemParams", "SystemState", "ThresholdDistribution", "Trajectory",
-    "derivatives", "integrate",
+    "SystemParams", "ThresholdDistribution", "Trajectory", "integrate",
     "InfectionRisk", "infection_probability", "remaining_risk", "risk_profile",
     "Fitness", "Mixed", "Strategy", "indifference_gap", "payoff",
     "EquilibriumResult", "Pure", "FullyMixed", "MixerProfile",

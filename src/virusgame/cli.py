@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from . import equilibrium as eq
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .dynamics import integrate
-from .experiments import (ExperimentSpec, _fmt, builtin_suite, get_builtin,
+from .experiments import (ExperimentSpec, _fmt, _write_csv,
+                          _write_trajectory_csv, builtin_suite, get_builtin,
                           run)
 from .oracle import empirical_infection_probability
 from .risk import infection_probability, risk_profile
@@ -93,18 +94,17 @@ def _cmd_simulate(args) -> int:
                      extinction_epsilon=cfg.extinction_epsilon)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,s,x_bar\n")
-        for i in range(len(traj)):
-            fh.write(",".join(_fmt(v) for v in
-                              (traj.t[i], traj.x[i], traj.s[i], traj.x_bar[i])))
-            fh.write("\n")
+    _write_trajectory_csv(path, traj)
     print(path)
     return EXIT_OK
 
 
 def _cmd_equilibrium(args) -> int:
     cfg = load_config(args.config)
+    n, n_u, n_nu = cfg.params.n_nodes, args.n_u, args.n_nu
+    if args.mode == "mixer" and not 0 <= min(n_u, n_nu) <= n_u + n_nu <= n:
+        raise ConfigError(f"--n-u and --n-nu must be nonnegative with n_u + "
+                          f"n_nu <= n_nodes={n}, got {n_u} + {n_nu}")
     table = risk_profile(cfg.params, cfg.dist, horizon=cfg.horizon, dt=cfg.dt,
                          extinction_epsilon=cfg.extinction_epsilon)
     if args.mode == "pure":
@@ -182,11 +182,10 @@ def _cmd_oracle(args) -> int:
     model = infection_probability(traj, cfg.params).p_infect
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle_comparison.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("k_protected,n_reps,seed,empirical,std_error,model,abs_diff\n")
-        fh.write(",".join([str(k), str(args.reps), str(args.seed),
-                           _fmt(estimate), _fmt(std_error), _fmt(model),
-                           _fmt(abs(estimate - model))]) + "\n")
+    _write_csv(path, ("k_protected", "n_reps", "seed", "empirical",
+                      "std_error", "model", "abs_diff"),
+               [(k, args.reps, args.seed, estimate, std_error, model,
+                 abs(estimate - model))])
     print(path)
     return EXIT_OK
 

@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .dynamics import (DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
-                       DEFAULT_HORIZON, SystemParams, ThresholdDistribution)
+                       DEFAULT_HORIZON, SystemParams, ThresholdDistribution,
+                       step_count)
 
 
 class ConfigError(ValueError):
@@ -69,10 +70,15 @@ def _parse_dist(block) -> ThresholdDistribution:
     missing = set(expected) - set(raw)
     if missing:
         raise ConfigError(f"missing threshold_dist params: {sorted(missing)}")
-    ctor = getattr(ThresholdDistribution, kind)
+    return _refusing(getattr(ThresholdDistribution, kind),
+                     *(_number(f"threshold_dist.params.{name}", raw[name])
+                       for name in expected))
+
+
+def _refusing(make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError raised as a ConfigError."""
     try:
-        return ctor(*(_number(f"threshold_dist.params.{name}", raw[name])
-                      for name in expected))
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -109,14 +115,11 @@ def parse_config(doc: dict) -> RunConfig:
     for key in _PARAM_KEYS:
         if key in doc:
             values[key] = doc[key]
-    try:
-        params = SystemParams(
-            n_nodes=_count("n_nodes", values["n_nodes"]),
-            n_sources=_count("n_sources", values["n_sources"]),
-            **{k: _number(k, values[k]) for k in _PARAM_KEYS
-               if k not in ("n_nodes", "n_sources")})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = _refusing(
+        SystemParams, n_nodes=_count("n_nodes", values["n_nodes"]),
+        n_sources=_count("n_sources", values["n_sources"]),
+        **{k: _number(k, values[k]) for k in _PARAM_KEYS
+           if k not in ("n_nodes", "n_sources")})
 
     dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
             else ThresholdDistribution.exponential(100.0))
@@ -128,8 +131,7 @@ def parse_config(doc: dict) -> RunConfig:
                        ("extinction_epsilon", eps)):
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    if dt <= 0 or horizon <= 0 or dt > horizon:
-        raise ConfigError("require 0 < dt <= horizon")
+    _refusing(step_count, horizon, dt)
     if eps <= 0:
         raise ConfigError("extinction_epsilon must be positive")
     return RunConfig(params=params, dist=dist, dt=dt, horizon=horizon,

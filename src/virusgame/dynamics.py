@@ -30,7 +30,7 @@ class ThresholdDistribution:
     """Distribution of source activation thresholds.
 
     Supported kinds: exponential(mean), uniform(lo, hi), weibull(shape, scale).
-    Exposes the c.d.f., density and hazard f/(1-F); the hazard is what the
+    Exposes the c.d.f. F and the hazard f/(1-F); the hazard is what the
     source ODE consumes.  Where F saturates (F = 1) the hazard is returned
     as +inf and the integrator substitutes the last finite value.
     """
@@ -72,22 +72,6 @@ class ThresholdDistribution:
         if self.kind == "weibull":
             k, s = self.params
             return np.where(x < 0, 0.0, -np.expm1(-((np.maximum(x, 0.0) / s) ** k)))
-        raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            (m,) = self.params
-            return np.where(x < 0, 0.0, np.exp(-np.maximum(x, 0.0) / m) / m)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return np.where((x >= lo) & (x < hi), 1.0 / (hi - lo), 0.0)
-        if self.kind == "weibull":
-            k, s = self.params
-            xp = np.maximum(x, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dens = (k / s) * (xp / s) ** (k - 1.0) * np.exp(-((xp / s) ** k))
-            return np.where(x < 0, 0.0, dens)
         raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
 
     def hazard(self, x):
@@ -162,14 +146,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class SystemState:
-    x: float
-    s: float
-    x_bar: float
-    t: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled solution plus extinction metadata.
 
@@ -188,123 +164,149 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def truncated(self) -> bool:
-        return self.extinction_time is None
 
-    def state(self, i: int) -> SystemState:
-        return SystemState(float(self.x[i]), float(self.s[i]),
-                           float(self.x_bar[i]), float(self.t[i]))
+_STOP_EVERY = 50  # steps between two early-stop checks
+_BLOCK_BYTES = 1 << 19  # budget of the per-block bookkeeping buffer
 
 
-def derivatives(state: SystemState, params: SystemParams, k_protected: float,
-                dist: ThresholdDistribution, fallback_hazard: float = 0.0):
-    """Right-hand side (dx, ds, dx_bar) of the coupled system.
+def step_count(horizon: float, dt: float) -> int:
+    """Number of RK4 steps that span [0, horizon]; refuses a dt that does
+    not fit the horizon a whole number of times."""
+    if not 0 < dt <= horizon:
+        raise ValueError("require 0 < dt <= horizon")
+    n_steps = round(horizon / dt)
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon:g} is not a whole number of "
+                         f"steps of dt={dt:g}")
+    return n_steps
 
-    The susceptible pool N - k - x is floored at zero so a fully protected
-    population gives pure exponential decay of any residual infection.
-    If the hazard is undefined (F saturated) the fallback value is used;
-    `integrate` supplies the last finite hazard as fallback.
+
+class _Stepper:
+    """Fixed-step RK4 for a stack of columns of the state (x, s, x_bar).
+
+    A state is a (3, n) array; stages go into buffers allocated once per
+    column set, and each operation groups its operands as the per-column
+    formula does, so a column is bit-identical alone or stacked.  The
+    exponential hazard is the constant 1/mean for x_bar >= 0 (a negative
+    x_bar falls back to ``dist.hazard``); a saturated (+inf) hazard keeps
+    the last finite value ``c.h_last`` and sets ``c.saturated``.  With
+    ``bounds`` (one column) the state is clipped to scalar bounds, which
+    keep the sign of a zero, and x_bar kept nondecreasing.
     """
-    if not 0 <= k_protected <= params.n_nodes:
-        raise ValueError("k_protected must lie in [0, n_nodes]")
-    h = float(dist.hazard(state.x_bar))
-    if not math.isfinite(h):
-        h = fallback_hazard
-    pool = max(params.n_nodes - k_protected - state.x, 0.0)
-    force = (params.beta * state.x + params.gamma * state.s) * pool
-    dx = -params.delta * state.x + force
-    ds = (-params.delta_s * state.s
-          + params.lambda_influence * h * (params.n_sources - state.s))
-    return dx, ds, force
 
+    def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
+                 dt: float, bounds: Optional[tuple] = None):
+        self.dist, self.bounds = dist, bounds
+        self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
+        h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
+        self.h_exp = h if math.isfinite(h) else None
+        c.h_last, c.saturated = np.zeros(len(c.k)), np.zeros(len(c.k), bool)
+        self.keep(c, slice(None))
 
-class _SaturatingHazard:
-    """Vectorised hazard that freezes at the last finite value per column."""
+    def keep(self, c: SimpleNamespace, mask) -> None:
+        """Run the columns of c (constants, hazard state) where mask holds."""
+        self.c = c = SimpleNamespace(**{k: v[mask] for k, v in vars(c).items()})
+        n = len(c.k)
+        self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
+        self.caps = np.array([c.n_nodes - c.k, c.n_sources])
+        self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0), c.n_sources])
+        self.h_const = np.full(n, self.h_exp or 0.0)
+        self.lam_h = c.lambda_influence * self.h_const
+        self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
+        self.lamh, self.stage = np.empty(n), np.empty((3, n))
+        self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
+                      self.room[0], self.room[1])
+        self.one = n == 1
+        # derivatives (dx, ds, dx_bar, activation term) and views into them
+        self.k1, self.kj = (
+            (d[:3], d[2], d[3], d[2:], d[:2]) for d in np.empty((2, 4, n)))
 
-    def __init__(self, dist: ThresholdDistribution, n_cols: int):
-        self.dist = dist
-        self.last = np.zeros(n_cols)
-        self.saturated = np.zeros(n_cols, dtype=bool)
-
-    def __call__(self, x_bar: np.ndarray) -> np.ndarray:
+    def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
+        if self.h_exp is not None and (
+                x_bar[0] >= 0.0 if self.one else x_bar.min(initial=0.0) >= 0.0):
+            self.c.h_last = self.h_const
+            return self.lam_h
         h = np.asarray(self.dist.hazard(x_bar), dtype=float)
-        if h.ndim == 0:
-            h = np.full_like(x_bar, float(h))
         bad = ~np.isfinite(h)
         if bad.any():
-            self.saturated |= bad
-            h = np.where(bad, self.last, h)
-        self.last = h
-        return h
+            self.c.saturated |= bad
+            h = np.where(bad, self.c.h_last, h)
+        self.c.h_last = h
+        return np.multiply(self.c.lambda_influence, h, out=self.lamh)
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the columns where mask is False."""
-        self.last = self.last[mask]
-        self.saturated = self.saturated[mask]
+    def _rhs(self, xs: np.ndarray, x_bar: np.ndarray, d: tuple) -> None:
+        """d = (dx, ds, dx_bar = force) at (x, s) = xs and x_bar, where
+        force = (beta*x + gamma*s) * max(N-k-x, 0), dx = -delta*x + force
+        and ds = -delta_s*s + (lambda*h)*(n_s-s)."""
+        _, force, act, tail, head = d
+        bx, gs, decay, pool, free_s = self.views
+        np.multiply(self.rates, xs, out=self.prod)  # [[bx, gs], decay]
+        np.subtract(self.caps, xs, out=self.room)  # [N - k - x, n_s - s]
+        np.maximum(pool, 0.0, out=pool)
+        np.add(bx, gs, out=force)
+        np.multiply(force, pool, out=force)
+        np.multiply(self._lam_hazard(x_bar), free_s, out=act)
+        np.add(decay, tail, out=head)
 
+    def step(self, y0: np.ndarray, out: np.ndarray) -> None:
+        """Write the clipped state one step after y0 into out."""
+        y, acc, d = self.stage, self.k1[0], self.kj[0]
+        self._rhs(y0[:2], y0[2], self.k1)
+        k = acc                                 # k1, then k2 and k3
+        for c, w in ((self.half, 2.0), (self.half, 2.0), (self.dt, None)):
+            np.multiply(k, c, out=y)
+            np.add(y0, y, out=y)
+            self._rhs(y[:2], y[2], self.kj)     # k2, k3, k4
+            # acc = ((k1 + 2k2) + 2k3) + k4
+            np.add(acc, d if w is None else np.multiply(d, w, out=y), out=acc)
+            k = d
+        np.multiply(acc, self.sixth, out=acc)
+        np.add(y0, acc, out=out)
+        if self.bounds is None:
+            np.clip(out[:2], 0.0, self.hi, out=out[:2])
+        else:
+            np.clip(out[0], 0.0, self.bounds[0], out=out[0])
+            np.clip(out[1], 0.0, self.bounds[1], out=out[1])
+            np.maximum(out[2], y0[2], out=out[2])
 
-def _rk4_step(x, s, xb, dt, params, k, hazard):
-    def rhs(x_, s_, xb_):
-        pool = np.maximum(params.n_nodes - k - x_, 0.0)
-        force = (params.beta * x_ + params.gamma * s_) * pool
-        dx = -params.delta * x_ + force
-        ds = (-params.delta_s * s_
-              + params.lambda_influence * hazard(xb_) * (params.n_sources - s_))
-        return dx, ds, force
-
-    k1 = rhs(x, s, xb)
-    k2 = rhs(x + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1], xb + 0.5 * dt * k1[2])
-    k3 = rhs(x + 0.5 * dt * k2[0], s + 0.5 * dt * k2[1], xb + 0.5 * dt * k2[2])
-    k4 = rhs(x + dt * k3[0], s + dt * k3[1], xb + dt * k3[2])
-    nx = x + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    ns = s + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    nxb = xb + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return nx, ns, nxb
+    def advance(self, states: np.ndarray, i0: int) -> None:
+        """Step states[:, 0] into states[:, 1:] (steps i0+1, i0+2, ...);
+        raise RuntimeError at the first state that is not finite."""
+        for j in range(1, states.shape[1]):
+            self.step(states[:, j - 1], states[:, j])
+        if not np.isfinite(states[:, 1:]).all():
+            j, col = np.argwhere(~np.isfinite(states[:, 1:]).all(axis=0))[0]
+            i = i0 + 1 + j
+            raise RuntimeError(
+                f"non-finite state at step {i} (t={i * self.dt:g}) for "
+                f"k_protected={self.c.k[col]:g} in the table with "
+                f"n_nodes={self.c.n_nodes[col]:g}")
 
 
 def integrate(params: SystemParams, k_protected: float,
               dist: ThresholdDistribution = DEFAULT_DIST,
               horizon: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
               extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON) -> Trajectory:
-    """Fixed-step RK4 integration over [0, horizon] at a given protection level.
-
-    States are clamped to their admissible ranges after every step; the
-    cumulative count is kept nondecreasing.  Raises on non-finite state.
-    """
-    if horizon <= 0 or dt <= 0 or dt > horizon:
-        raise ValueError("require 0 < dt <= horizon")
-    if not 0 <= k_protected <= params.n_nodes:
-        raise ValueError("k_protected must lie in [0, n_nodes]")
-
-    n_steps = int(round(horizon / dt))
+    """Fixed-step RK4 integration over [0, horizon] at a given protection
+    level: the one-column engine, keeping every step.  States are clamped to
+    their admissible ranges and the cumulative count kept nondecreasing."""
+    n_steps = step_count(horizon, dt)
+    c = _column_constants(params, np.array([float(k_protected)]))
+    stepper = _Stepper(c, dist, dt, bounds=(
+        max(params.n_nodes - k_protected, params.x0), params.n_sources))
+    hist = np.empty((3, n_steps + 1, 1))
+    hist[:, 0, 0] = params.x0, params.s0, params.x0
+    for i0 in range(0, n_steps, _STOP_EVERY):  # stop soon after a blow-up
+        stepper.advance(hist[:, i0:i0 + _STOP_EVERY + 1], i0)
+    x, s, xb = hist[:, :, 0]
     t = np.arange(n_steps + 1) * dt
-    x = np.empty(n_steps + 1)
-    s = np.empty(n_steps + 1)
-    xb = np.empty(n_steps + 1)
-    x[0], s[0], xb[0] = params.x0, params.s0, params.x0
-
-    x_hi = max(params.n_nodes - k_protected, params.x0)
-    k = np.array([float(k_protected)])
-    hazard = _SaturatingHazard(dist, 1)
-    cx, cs, cxb = np.array([x[0]]), np.array([s[0]]), np.array([xb[0]])
-    for i in range(1, n_steps + 1):
-        cx, cs, cxb = _rk4_step(cx, cs, cxb, dt, params, k, hazard)
-        cx = np.clip(cx, 0.0, x_hi)
-        cs = np.clip(cs, 0.0, params.n_sources)
-        cxb = np.maximum(cxb, xb[i - 1])
-        if not (np.isfinite(cx) & np.isfinite(cs) & np.isfinite(cxb)).all():
-            raise RuntimeError(
-                f"non-finite state at step {i} (t={i * dt:g}): "
-                f"x={cx[0]!r} s={cs[0]!r} x_bar={cxb[0]!r}")
-        x[i], s[i], xb[i] = cx[0], cs[0], cxb[0]
 
     i_peak = int(np.argmax(x))
     below = np.nonzero(x[i_peak:] <= extinction_epsilon)[0]
     extinction = float(t[i_peak + below[0]]) if below.size else None
     return Trajectory(t=t, x=x, s=s, x_bar=xb, k_protected=float(k_protected),
                       extinction_time=extinction,
-                      hazard_saturated=bool(hazard.saturated.any()))
+                      hazard_saturated=bool(stepper.c.saturated.any()))
 
 
 # the SystemParams fields the right-hand side and initial state read
@@ -313,11 +315,9 @@ _COLUMN_FIELDS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
 
 
 def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
-    """Per-column model constants, protection level, table id and index.
-
+    """Per-column model constants, protection level k, table id and index.
     ``params`` is one parameter set for every column or one per column;
-    columns with equal parameter sets share a table id.
-    """
+    columns with equal parameter sets share a table id."""
     if isinstance(params, SystemParams):
         tables, table = [params], np.zeros(len(k), dtype=int)
     else:
@@ -330,6 +330,8 @@ def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
     cols = {name: np.array([getattr(p, name) for p in tables],
                            dtype=float)[table]
             for name in _COLUMN_FIELDS}
+    if not ((k >= 0) & (k <= cols["n_nodes"])).all():
+        raise ValueError("k_protected must lie in [0, n_nodes]")
     return SimpleNamespace(**cols, k=k, table=table, col=np.arange(len(k)))
 
 
@@ -350,6 +352,12 @@ def _stoppable(c: SimpleNamespace, x, s, h_now, cand_t, eps) -> np.ndarray:
     return ~np.isin(c.table, c.table[~ok])
 
 
+# slots of the batch block buffer (_SLOTS, steps + 1, columns): the state
+# (x, s, x_bar), g = beta*x + gamma*s and the running trapezoid of g; row 0
+# holds the values after the previous block
+_X, _S, _G, _CUM, _SLOTS = 0, 1, 3, 4, 5
+
+
 def batch_extinction_stats(params, k_values: np.ndarray,
                            dist: ThresholdDistribution,
                            horizon: float = DEFAULT_HORIZON,
@@ -359,81 +367,76 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     extinction time, accumulated infection hazard integral (trapezoid of
     beta*X + gamma*S over [0, t_f]) and truncation/saturation flags.
 
-    ``params`` is one SystemParams for every column, or a sequence with one
-    per column.  Columns with equal parameter sets form one table; the
-    columns of several tables are integrated side by side, each with its
-    own constants.  This is the engine behind the k -> P_i(k) risk tables;
-    trajectories are not stored.  A table stops early once all its columns
-    are provably extinct and cannot regrow; its columns then leave the
-    batch, so each table comes out bit-identical to a call of its own.
+    ``params`` is one SystemParams for every column, or one per column;
+    columns with equal parameter sets form a table, and the tables run side
+    by side.  This is the engine behind the k -> P_i(k) risk tables; no
+    trajectory is kept.  After each block of steps the trapezoid, running
+    maximum and extinction candidates catch up on all its steps at once.
+    Every 50 steps, a table whose columns are all provably extinct
+    for good stops and leaves the batch, so each table is bit-identical to
+    a call of its own.
     """
-    if horizon <= 0 or dt <= 0 or dt > horizon:
-        raise ValueError("require 0 < dt <= horizon")
-    k = np.asarray(k_values, dtype=float)
-    c = _column_constants(params, k)
-    if ((k < 0) | (k > c.n_nodes)).any():
-        raise ValueError("k_protected values must lie in [0, n_nodes]")
-    n_cols = len(k)
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
+    c = _column_constants(params, np.asarray(k_values, dtype=float))
+    n_cols = len(c.k)
     eps = extinction_epsilon
+    stepper = _Stepper(c, dist, dt)
 
-    x, s, xb = c.x0.copy(), c.s0.copy(), c.x0.copy()
-    c.x_hi = np.maximum(c.n_nodes - k, c.x0)
-    hazard = _SaturatingHazard(dist, n_cols)
+    # steps per block: the largest divisor of _STOP_EVERY whose buffer fits
+    rows = next(b for b in (50, 25, 10, 5, 2, 1)
+                if (b + 1) * _SLOTS * 8 * n_cols <= _BLOCK_BYTES or b == 1)
+    buf = np.empty((_SLOTS, rows + 1, n_cols))
+    buf[:, 0] = (c.x0, c.s0, c.x0, c.beta * c.x0 + c.gamma * c.s0,
+                 np.zeros(n_cols))
+    run_max = c.x0.copy()
+    # extinction candidates and results, for every column
+    cand_t = np.where(c.x0 <= eps, 0.0, np.nan)
+    cand_h, saturated = cand_t.copy(), np.zeros(n_cols, dtype=bool)
+    for i0 in range(0, n_steps, rows):
+        b = min(rows, n_steps - i0)
+        stepper.advance(buf[:_G, :b + 1], i0)
+        c = stepper.c
+        x, g, run = buf[_X, 1:b + 1], buf[_G, :b + 1], buf[_CUM, :b + 1]
+        # trapezoid, summed step by step (row 0 holds the sum so far):
+        # cum_i = cum_{i-1} + 0.5*dt*(g_{i-1} + g_i)
+        np.multiply(c.beta, x, out=g[1:])
+        np.multiply(c.gamma, buf[_S, 1:b + 1], out=run[1:])
+        np.add(g[1:], run[1:], out=g[1:])
+        np.add(g[:-1], g[1:], out=run[1:])
+        np.multiply(0.5 * dt, run[1:], out=run[1:])
+        for j in range(1, b + 1):
+            np.add(run[j - 1], run[j], out=run[j])
+        # x sets a new running maximum in this block iff the block maximum
+        # beats the old one; its first occurrence is the last new maximum,
+        # which drops the extinction candidate.  The candidate is the first
+        # step at or after the last new maximum with x <= eps.
+        top = x.max(axis=0)
+        rising = top > run_max
+        np.maximum(run_max, top, out=run_max)
+        low = x <= eps
+        cand_t[c.col[rising]] = np.nan
+        w = np.flatnonzero(np.isnan(cand_t[c.col]) & low.any(axis=0))
+        if w.size:
+            start = np.where(rising[w], np.argmax(x[:, w], axis=0), 0)
+            hit = low[:, w] & (np.arange(b)[:, None] >= start)
+            found = hit.any(axis=0)
+            first, w = np.argmax(hit, axis=0)[found], w[found]
+            cand_t[c.col[w]] = (i0 + 1 + first) * dt
+            cand_h[c.col[w]] = run[first + 1, w]
+        buf[:, 0] = buf[:, b]
 
-    run_max = x.copy()
-    cand_t = np.where(x <= eps, 0.0, np.nan)
-    cand_h = cand_t.copy()
-    cum = np.zeros(n_cols)
-    g_prev = c.beta * x + c.gamma * s
-
-    t_f = np.empty(n_cols)
-    integral = np.empty(n_cols)
-    truncated = np.zeros(n_cols, dtype=bool)
-    saturated = np.zeros(n_cols, dtype=bool)
-    for i in range(1, n_steps + 1):
-        x, s, xb = _rk4_step(x, s, xb, dt, c, c.k, hazard)
-        x = np.clip(x, 0.0, c.x_hi)
-        s = np.clip(s, 0.0, c.n_sources)
-        if not (np.isfinite(x).all() and np.isfinite(s).all()
-                and np.isfinite(xb).all()):
-            bad = int(np.nonzero(~np.isfinite(x) | ~np.isfinite(s)
-                                 | ~np.isfinite(xb))[0][0])
-            raise RuntimeError(
-                f"non-finite state at step {i} (t={i * dt:g}) "
-                f"for k_protected={c.k[bad]:g} "
-                f"in the table with n_nodes={c.n_nodes[bad]:g}")
-        g = c.beta * x + c.gamma * s
-        cum += 0.5 * dt * (g_prev + g)
-        g_prev = g
-
-        # a new running maximum invalidates any earlier extinction candidate
-        new_max = x > run_max
-        run_max = np.maximum(run_max, x)
-        cand_t[new_max] = np.nan
-        hit = (x <= eps) & np.isnan(cand_t)
-        cand_t[hit] = i * dt
-        cand_h[hit] = cum[hit]
-
-        if i % 50 == 0:
-            done = _stoppable(c, x, s, hazard.last, cand_t, eps)
+        if (i0 + b) % _STOP_EVERY == 0:
+            done = _stoppable(c, buf[_X, 0], buf[_S, 0], c.h_last,
+                              cand_t[c.col], eps)
             if done.any():
-                cols = c.col[done]
-                t_f[cols] = cand_t[done]
-                integral[cols] = cand_h[done]
-                saturated[cols] = hazard.saturated[done]
-                keep = ~done
-                x, s, xb, run_max, cand_t, cand_h, cum, g_prev = (
-                    a[keep] for a in (x, s, xb, run_max, cand_t, cand_h,
-                                      cum, g_prev))
-                hazard.keep(keep)
-                c = SimpleNamespace(**{n: v[keep] for n, v in vars(c).items()})
-                if not keep.any():
+                saturated[c.col[done]] = c.saturated[done]
+                stepper.keep(c, ~done)
+                buf, run_max = buf[:, :, ~done], run_max[~done]
+                if done.all():
                     break
 
+    c = stepper.c
+    saturated[c.col] = c.saturated
     late = np.isnan(cand_t)
-    truncated[c.col] = late
-    t_f[c.col] = np.where(late, horizon, cand_t)
-    integral[c.col] = np.where(late, cum, cand_h)
-    saturated[c.col] = hazard.saturated
-    return t_f, integral, truncated, saturated
+    cand_h[c.col] = np.where(late[c.col], buf[_CUM, 0], cand_h[c.col])
+    return np.where(late, horizon, cand_t), cand_h, late, saturated

@@ -135,15 +135,18 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
     return row
 
 
-def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    stride = max(1, int(np.ceil(len(traj) / MAX_TRAJECTORY_ROWS)))
-    idx = np.arange(0, len(traj), stride)
+def _write_csv(path: str, header, rows) -> None:
+    """Write a header line and one line per row, each value through _fmt."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,x,s,x_bar\n")
-        for i in idx:
-            fh.write(",".join(_fmt(v) for v in
-                              (traj.t[i], traj.x[i], traj.s[i], traj.x_bar[i])))
-            fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_trajectory_csv(path: str, traj: Trajectory, stride: int = 1) -> None:
+    """Write every stride-th sample of traj as a t,x,s,x_bar row."""
+    _write_csv(path, ("t", "x", "s", "x_bar"),
+               zip(*(v[::stride] for v in (traj.t, traj.x, traj.s, traj.x_bar))))
 
 
 def run(spec: ExperimentSpec,
@@ -173,17 +176,15 @@ def run(spec: ExperimentSpec,
         os.makedirs(out_dir, exist_ok=True)
         scalar_cols = [o for o in spec.outputs if o != "trajectory"]
         if scalar_cols:
-            path = os.path.join(out_dir, f"{spec.name}.csv")
-            with open(path, "w", newline="") as fh:
-                fh.write(",".join([param] + scalar_cols) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(row[c]) for c in [param] + scalar_cols))
-                    fh.write("\n")
+            cols = [param] + scalar_cols
+            _write_csv(os.path.join(out_dir, f"{spec.name}.csv"), cols,
+                       ([row[c] for c in cols] for row in rows))
         if "trajectory" in spec.outputs:
             for row in rows:
                 fname = f"{spec.name}__{param}_{_fmt(row[param])}.csv"
-                _write_trajectory_csv(os.path.join(out_dir, fname),
-                                      row["trajectory"])
+                traj = row["trajectory"]  # at most MAX_TRAJECTORY_ROWS rows
+                _write_trajectory_csv(os.path.join(out_dir, fname), traj,
+                                      -(-len(traj) // MAX_TRAJECTORY_ROWS))
     return rows
 
 

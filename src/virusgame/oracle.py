@@ -25,7 +25,7 @@ import numpy as np
 # so a run's first replication does not pay for the import
 from numpy.random import default_rng
 
-from .dynamics import SystemParams, ThresholdDistribution
+from .dynamics import SystemParams, ThresholdDistribution, step_count
 
 EVENT_INFECT = "infect"
 EVENT_CURE = "cure"
@@ -50,10 +50,6 @@ class SimulationResult:
         """Sample the piecewise-constant infected count on a time grid."""
         idx = np.searchsorted(self.times, t_grid, side="right") - 1
         return self.x_path[np.maximum(idx, 0)]
-
-    def s_at(self, t_grid: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.times, t_grid, side="right") - 1
-        return self.s_path[np.maximum(idx, 0)]
 
 
 def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
@@ -203,7 +199,7 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
                        k_protected: int, n_reps: int, seed,
                        horizon: float, dt: float):
     """Replication-mean infected count on a uniform grid (the ODE check)."""
-    t_grid = np.arange(int(round(horizon / dt)) + 1) * dt
+    t_grid = np.arange(step_count(horizon, dt) + 1) * dt
     acc = np.zeros_like(t_grid)
     truncated = 0
     for rep in range(n_reps):

@@ -84,6 +84,15 @@ class TestEquilibrium:
         out = capsys.readouterr().out.strip()
         assert out.startswith("rejected=1")
 
+    @pytest.mark.parametrize("n_u,n_nu", [(20, 11), (-1, 5), (5, -1)])
+    def test_mixer_counts_out_of_range_exit_one(self, config_path, capsys,
+                                                n_u, n_nu):
+        assert main(["equilibrium", "--config", config_path, "--mode", "mixer",
+                     "--n-u", str(n_u), "--n-nu", str(n_nu)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --n-u and --n-nu must be")
+
     def test_bad_mode_exits_one(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["equilibrium", "--config", config_path, "--mode", "bogus"])

@@ -5,6 +5,7 @@ import pytest
 
 from virusgame.cli import EXIT_CONFIG, main
 from virusgame.config import ConfigError, parse_config
+from virusgame.experiments import builtin_suite
 
 SMALL_CONFIG = {
     "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
@@ -94,3 +95,25 @@ def test_cli_nan_dt_exits_config(tmp_path, capsys, command):
     argv = command[:1] + ["--config", str(path)] + command[1:]
     assert main(argv) == EXIT_CONFIG == 1
     assert "dt must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt,horizon", [(0.3, 1.0), (0.7, 10.0), (0.1, 0.35)])
+def test_horizon_not_whole_steps_refused(dt, horizon):
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        parse_config({**SMALL_CONFIG, "dt": dt, "horizon": horizon})
+
+
+def test_cli_horizon_not_whole_steps_exits_config(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "dt": 0.3, "horizon": 1.0}))
+    assert main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "horizon 1 is not a whole number of steps of dt=0.3" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_builtin_grids_accepted():
+    for spec in builtin_suite():
+        doc = {**SMALL_CONFIG, "dt": spec.dt, "horizon": spec.horizon}
+        assert parse_config(doc).horizon == spec.horizon

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from virusgame.dynamics import (DEFAULT_EXTINCTION_EPSILON, SystemParams,
-                                SystemState, ThresholdDistribution,
-                                batch_extinction_stats, derivatives, integrate)
+from virusgame.dynamics import (SystemParams, ThresholdDistribution,
+                                batch_extinction_stats, integrate, step_count)
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -91,36 +90,52 @@ class TestSystemParams:
                 dataclasses.replace(FIG3, **{field.name: bad})
 
 
-class TestDerivatives:
+def first_step_slopes(params, k, dist=EXP100, dt=1e-6):
+    """(dx, ds, dx_bar) at t=0, read off one RK4 step of length dt."""
+    traj = integrate(params, k, dist, horizon=dt, dt=dt)
+    return tuple((v[1] - v[0]) / dt for v in (traj.x, traj.s, traj.x_bar))
+
+
+class TestRightHandSide:
     def test_all_quiet_no_motion(self):
-        params = dataclasses.replace(FIG3, lambda_influence=0.0)
-        state = SystemState(x=0.0, s=0.0, x_bar=0.0, t=0.0)
-        assert derivatives(state, params, 0.0, EXP100) == (0.0, 0.0, 0.0)
+        params = dataclasses.replace(FIG3, lambda_influence=0.0, x0=0.0,
+                                     s0=0.0)
+        traj = integrate(params, 0.0, EXP100, horizon=10.0, dt=0.1)
+        for v in (traj.x, traj.s, traj.x_bar):
+            assert np.all(v == 0.0)
 
     def test_direct_substitution(self):
-        state = SystemState(x=0.0, s=5.0, x_bar=0.0, t=0.0)
-        dx, _, dxb = derivatives(state, FIG3, 0.0, EXP100)
-        assert dx == pytest.approx(0.5)
-        assert dxb == pytest.approx(0.5)
+        # X = 0, S = 5: the only inflow is gamma * S * N = 0.5
+        dx, _, dxb = first_step_slopes(FIG3, 0.0)
+        assert dx == pytest.approx(0.5, rel=1e-5)
+        assert dxb == pytest.approx(0.5, rel=1e-5)
 
     def test_initial_slope_matches_source_forcing(self):
         # at t=0 with X(0)=0 the only inflow is source contacts
-        state = SystemState(x=0.0, s=FIG3.s0, x_bar=0.0, t=0.0)
         for k in [0.0, 10.0, 50.0]:
-            dx, _, _ = derivatives(state, FIG3, k, EXP100)
-            assert dx == pytest.approx(FIG3.gamma * FIG3.s0 * (FIG3.n_nodes - k))
+            dx, _, _ = first_step_slopes(FIG3, k)
+            assert dx == pytest.approx(
+                FIG3.gamma * FIG3.s0 * (FIG3.n_nodes - k), rel=1e-5)
 
     def test_k_out_of_range(self):
-        state = SystemState(x=0.0, s=0.0, x_bar=0.0, t=0.0)
-        with pytest.raises(ValueError):
-            derivatives(state, FIG3, -1.0, EXP100)
+        for k in (-1.0, FIG3.n_nodes + 1.0):
+            with pytest.raises(ValueError):
+                integrate(FIG3, k, EXP100, horizon=10.0)
+            with pytest.raises(ValueError):
+                batch_extinction_stats(FIG3, np.array([0.0, k]), EXP100,
+                                       horizon=10.0)
 
     def test_saturated_hazard_uses_fallback(self):
+        # x_bar starts past the uniform(0, 5) support, so the hazard is
+        # saturated from the first stage on and the fallback (no earlier
+        # finite value: 0) leaves pure source decay
         dist = ThresholdDistribution.uniform(0.0, 5.0)
-        state = SystemState(x=1.0, s=1.0, x_bar=10.0, t=0.0)
-        _, ds, _ = derivatives(state, FIG3, 0.0, dist, fallback_hazard=2.0)
-        expected = -FIG3.delta_s + FIG3.lambda_influence * 2.0 * (FIG3.n_sources - 1.0)
-        assert ds == pytest.approx(expected)
+        params = dataclasses.replace(FIG3, x0=10.0, s0=1.0,
+                                     lambda_influence=1e-2)
+        traj = integrate(params, 0.0, dist, horizon=50.0, dt=0.1)
+        assert traj.hazard_saturated
+        np.testing.assert_allclose(traj.s, np.exp(-FIG3.delta_s * traj.t),
+                                   rtol=1e-8)
 
 
 class TestIntegrate:
@@ -198,6 +213,32 @@ class TestIntegrate:
             integrate(FIG3, 0.0, EXP100, horizon=0.0, dt=0.1)
         with pytest.raises(ValueError):
             integrate(FIG3, 0.0, EXP100, horizon=1.0, dt=2.0)
+
+    def test_horizon_must_be_whole_number_of_steps(self):
+        # 1.0 / 0.3 would stop at t = 0.9
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate(FIG3, 0.0, EXP100, horizon=1.0, dt=0.3)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            batch_extinction_stats(FIG3, np.arange(3), EXP100, horizon=1.0,
+                                   dt=0.3)
+
+    def test_non_finite_state_raises(self):
+        blowup = dataclasses.replace(FIG3, beta=1e300, gamma=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite state at step 1 "):
+                integrate(blowup, 0.0, EXP100, horizon=10.0)
+
+
+# every (dt, horizon) pair of the builtin studies, the benchmark workloads,
+# the CLI defaults and the tests
+GRIDS = [(dt, h) for dt in (0.05, 0.1, 0.5)
+         for h in (10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0,
+                   600.0, 1000.0)]
+
+
+@pytest.mark.parametrize("dt,horizon", GRIDS)
+def test_step_count_accepts_grid(dt, horizon):
+    assert step_count(horizon, dt) == round(horizon / dt)
 
 
 class TestBatchExtinctionStats:

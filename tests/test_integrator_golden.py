@@ -9,16 +9,21 @@ shows up here.  The matrix covers the three threshold kinds, protected and
 unprotected populations, a nonzero initial infection, a saturating uniform
 hazard, signed-zero initial values, a stiff case (delta * dt = 10) in which an RK4 stage drives the
 cumulative count below zero, and stacked multi-table batches that stop
-early, truncate at the horizon and saturate.
+early, truncate at the horizon and saturate.  A plain per-step RK4, one
+step and one bookkeeping update at a time, serves as the reference on a
+wider set of random cases.
 """
 
 import dataclasses
 import hashlib
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from virusgame.dynamics import (SystemParams, ThresholdDistribution,
+                                _column_constants, _stoppable,
                                 batch_extinction_stats, integrate)
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
@@ -178,3 +183,144 @@ def test_stiff_case_drives_a_stage_below_zero(monkeypatch):
     params, k, dist, horizon, dt = INTEGRATE_CASES["stiff_negative_stage"]
     integrate(params, k, dist, horizon=horizon, dt=dt)
     assert min(seen) < 0.0
+
+
+class _ReferenceHazard:
+    """Per-column hazard that freezes at the last finite value."""
+
+    def __init__(self, dist, n_cols):
+        self.dist, self.last = dist, np.zeros(n_cols)
+        self.saturated = np.zeros(n_cols, dtype=bool)
+
+    def __call__(self, x_bar):
+        h = np.asarray(self.dist.hazard(x_bar), dtype=float)
+        bad = ~np.isfinite(h)
+        self.saturated |= bad
+        self.last = h = np.where(bad, self.last, h)
+        return h
+
+
+def _reference_step(x, s, xb, dt, p, k, hazard):
+    def rhs(x_, s_, xb_):
+        pool = np.maximum(p.n_nodes - k - x_, 0.0)
+        force = (p.beta * x_ + p.gamma * s_) * pool
+        return (-p.delta * x_ + force,
+                -p.delta_s * s_
+                + p.lambda_influence * hazard(xb_) * (p.n_sources - s_), force)
+
+    k1 = rhs(x, s, xb)
+    k2 = rhs(*(v + 0.5 * dt * d for v, d in zip((x, s, xb), k1)))
+    k3 = rhs(*(v + 0.5 * dt * d for v, d in zip((x, s, xb), k2)))
+    k4 = rhs(*(v + dt * d for v, d in zip((x, s, xb), k3)))
+    return tuple(v + dt / 6.0 * (a + 2 * b + 2 * c + e)
+                 for v, a, b, c, e in zip((x, s, xb), k1, k2, k3, k4))
+
+
+def reference_integrate(params, k, dist, horizon, dt, eps=1e-3):
+    n_steps = int(round(horizon / dt))
+    t = np.arange(n_steps + 1) * dt
+    out = np.empty((3, n_steps + 1))
+    out[:, 0] = params.x0, params.s0, params.x0
+    x_hi = max(params.n_nodes - k, params.x0)
+    hazard = _ReferenceHazard(dist, 1)
+    cx, cs, cxb = (np.array([v]) for v in out[:, 0])
+    for i in range(1, n_steps + 1):
+        cx, cs, cxb = _reference_step(cx, cs, cxb, dt, params,
+                                      np.array([float(k)]), hazard)
+        cx = np.clip(cx, 0.0, x_hi)
+        cs = np.clip(cs, 0.0, params.n_sources)
+        cxb = np.maximum(cxb, out[2, i - 1])
+        out[:, i] = cx[0], cs[0], cxb[0]
+    x = out[0]
+    below = np.nonzero(x[np.argmax(x):] <= eps)[0]
+    t_f = float(t[np.argmax(x) + below[0]]) if below.size else None
+    return t, out, t_f, bool(hazard.saturated.any())
+
+
+def reference_batch(params, k, dist, horizon, dt, eps=1e-3):
+    c = _column_constants(params, np.asarray(k, dtype=float))
+    x_hi, n = np.maximum(c.n_nodes - c.k, c.x0), len(c.k)
+    x, s, xb = c.x0.copy(), c.s0.copy(), c.x0.copy()
+    hazard = _ReferenceHazard(dist, n)
+    run_max, cum = x.copy(), np.zeros(n)
+    cand_t = np.where(x <= eps, 0.0, np.nan)
+    cand_h, g_prev = cand_t.copy(), c.beta * x + c.gamma * s
+    t_f, integral = np.empty(n), np.empty(n)
+    truncated, saturated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for i in range(1, int(round(horizon / dt)) + 1):
+        x, s, xb = _reference_step(x, s, xb, dt, c, c.k, hazard)
+        x, s = np.clip(x, 0.0, x_hi), np.clip(s, 0.0, c.n_sources)
+        g = c.beta * x + c.gamma * s
+        cum = cum + 0.5 * dt * (g_prev + g)
+        g_prev = g
+        new_max = x > run_max
+        run_max = np.maximum(run_max, x)
+        cand_t[new_max] = np.nan
+        hit = (x <= eps) & np.isnan(cand_t)
+        cand_t[hit], cand_h[hit] = i * dt, cum[hit]
+        if i % 50 == 0:
+            done = _stoppable(c, x, s, hazard.last, cand_t, eps)
+            cols = c.col[done]
+            t_f[cols], integral[cols] = cand_t[done], cand_h[done]
+            saturated[cols] = hazard.saturated[done]
+            keep = ~done
+            x, s, xb, run_max, cand_t, cand_h, cum, g_prev = (
+                a[keep] for a in (x, s, xb, run_max, cand_t, cand_h, cum,
+                                  g_prev))
+            hazard.last = hazard.last[keep]
+            hazard.saturated = hazard.saturated[keep]
+            c = SimpleNamespace(**{k: v[keep] for k, v in vars(c).items()})
+            x_hi = x_hi[keep]
+    late = np.isnan(cand_t)
+    truncated[c.col] = late
+    t_f[c.col] = np.where(late, horizon, cand_t)
+    integral[c.col] = np.where(late, cum, cand_h)
+    saturated[c.col] = hazard.saturated
+    return t_f, integral, truncated, saturated
+
+
+def _random_case(rnd):
+    def roster():
+        n, ns = rnd.choice([3, 10, 40]), rnd.choice([1, 10, 50])
+        return SystemParams(
+            n_nodes=n, n_sources=ns, beta=rnd.choice([0.0, 1e-3, 1e-2, 0.1]),
+            gamma=rnd.choice([0.0, 1e-3, 1e-2]),
+            delta=rnd.choice([0.0, 0.1, 1.0, 30.0]),
+            delta_s=rnd.choice([0.0, 0.1, 25.0]),
+            lambda_influence=rnd.choice([0.0, 1e-4, 1e-2, 1.0]),
+            x0=rnd.choice([0.0, -0.0, 0.5, 3.0]),
+            s0=rnd.choice([0.0, 1.0, 1.0 * ns]), infection_cost=1.0,
+            update_cost=0.1)
+    dist = rnd.choice([ThresholdDistribution.exponential(100.0),
+                       ThresholdDistribution.exponential(1.0),
+                       ThresholdDistribution.uniform(0.0, 5.0),
+                       ThresholdDistribution.weibull(0.8, 5.0),
+                       ThresholdDistribution.weibull(2.0, 500.0)])
+    tables = [roster() for _ in range(rnd.choice([1, 2, 3]))]
+    params = [p for p in tables for _ in range(p.n_nodes + 1)]
+    k = np.concatenate([np.arange(p.n_nodes + 1) for p in tables])
+    return params, k, dist, rnd.choice([10.0, 20.0, 50.0]), rnd.choice(
+        [0.1, 0.5])
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_matches_per_step_reference():
+    rnd = random.Random(2026)
+    for _ in range(25):
+        params, k, dist, horizon, dt = _random_case(rnd)
+        with np.errstate(all="ignore"):
+            got = batch_extinction_stats(params, k, dist, horizon=horizon,
+                                         dt=dt)
+            want = reference_batch(params, k, dist, horizon, dt)
+            assert all(map(_same, got, want)), (params[0], dist, horizon, dt)
+            traj = integrate(params[-1], float(k[-1]) // 2, dist,
+                             horizon=horizon, dt=dt)
+            t, states, t_f, sat = reference_integrate(
+                params[-1], float(k[-1]) // 2, dist, horizon, dt)
+        assert _same(np.array([traj.t, traj.x, traj.s, traj.x_bar]),
+                     np.vstack([t, states]))
+        assert (traj.extinction_time, traj.hazard_saturated) == (t_f, sat)

@@ -92,3 +92,10 @@ def test_cli_oracle_shows_truncation_on_stderr(capped, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].split(",")[:5] == ["0", "100", "3", _fmt(estimate),
                                        _fmt(std_error)]
+
+
+def test_mean_path_refuses_horizon_not_whole_steps():
+    # the grid would otherwise stop at t = 0.9
+    with pytest.raises(ValueError, match="whole number of steps"):
+        oracle.mean_infected_path(SMALL, EXP100, 0, n_reps=1, seed=0,
+                                  horizon=1.0, dt=0.3)
