@@ -20,9 +20,10 @@ import warnings
 from typing import Optional, Sequence
 
 from . import equilibrium as eq
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import (ConfigError, RunConfig, _count, _number, load_config,
+                     parse_config)
 from .dynamics import integrate
-from .experiments import (ExperimentSpec, _fmt, _write_csv,
+from .experiments import (ExperimentSpec, _apply_sweep, _fmt, _write_csv,
                           _write_trajectory_csv, builtin_suite, get_builtin,
                           run)
 from .oracle import empirical_infection_probability
@@ -79,6 +80,8 @@ def _build_parser() -> _Parser:
 
 def _protection_count(cfg: RunConfig, k: Optional[float], p: Optional[float]) -> float:
     if k is not None:
+        if not 0.0 <= k <= cfg.params.n_nodes:
+            raise ConfigError("--k-protected must lie in 0..n_nodes")
         return k
     if p is not None:
         if not 0.0 <= p <= 1.0:
@@ -146,12 +149,20 @@ def _load_spec(ref: str) -> ExperimentSpec:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {ref}: {exc}") from exc
     try:
+        if not isinstance(doc, dict):
+            raise ConfigError("a spec must be a JSON object")
         cfg = parse_config(doc.get("config", {}))
-        return ExperimentSpec(
+        param = doc["sweep"]["param"]
+        read = _count if param in ("n_nodes", "n_sources") else _number
+        values = tuple(read(f"sweep value of {param}", v)
+                       for v in doc["sweep"]["values"])
+        spec = ExperimentSpec(
             name=doc["name"], base=cfg.params, dist=cfg.dist,
-            sweep=(doc["sweep"]["param"], tuple(doc["sweep"]["values"])),
-            outputs=tuple(doc["outputs"]), dt=cfg.dt, horizon=cfg.horizon,
-            seed=int(doc.get("seed", 0)))
+            sweep=(param, values), outputs=tuple(doc["outputs"]), dt=cfg.dt,
+            horizon=cfg.horizon)
+        for value in values:  # refuse a bad point now, not mid-run
+            _apply_sweep(cfg.params, param, value)
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment spec {ref}: {exc}") from exc
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .dynamics import (DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
-                       DEFAULT_HORIZON, SystemParams, ThresholdDistribution,
-                       step_count)
+from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
+                       DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
+                       SystemParams, ThresholdDistribution, step_count)
 
 
 class ConfigError(ValueError):
@@ -22,14 +22,6 @@ _DIST_PARAMS = {
     "weibull": ("shape", "scale"),
 }
 
-_PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
-
-_DEFAULTS = {
-    "n_nodes": 500, "n_sources": 50, "beta": 1e-4, "gamma": 1e-3,
-    "delta": 0.1, "delta_s": 0.1, "lambda_influence": 1e-4,
-    "x0": 0.0, "s0": 10.0, "infection_cost": 1.0, "update_cost": 0.1,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -40,7 +32,7 @@ class RunConfig:
     extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
 
     def to_dict(self) -> dict:
-        doc = {key: getattr(self.params, key) for key in _PARAM_KEYS}
+        doc = {key: getattr(self.params, key) for key in PARAM_FIELDS}
         doc["threshold_dist"] = {
             "kind": self.dist.kind,
             "params": dict(zip(_DIST_PARAMS[self.dist.kind], self.dist.params)),
@@ -105,24 +97,22 @@ def _count(key, value) -> int:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = set(_PARAM_KEYS) | {"threshold_dist", "dt", "horizon",
-                                  "extinction_epsilon"}
+    allowed = set(PARAM_FIELDS) | {"threshold_dist", "dt", "horizon",
+                                   "extinction_epsilon"}
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    values = dict(_DEFAULTS)
-    for key in _PARAM_KEYS:
-        if key in doc:
-            values[key] = doc[key]
+    values = {key: doc.get(key, getattr(DEFAULT_PARAMS, key))
+              for key in PARAM_FIELDS}
     params = _refusing(
         SystemParams, n_nodes=_count("n_nodes", values["n_nodes"]),
         n_sources=_count("n_sources", values["n_sources"]),
-        **{k: _number(k, values[k]) for k in _PARAM_KEYS
+        **{k: _number(k, values[k]) for k in PARAM_FIELDS
            if k not in ("n_nodes", "n_sources")})
 
     dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
-            else ThresholdDistribution.exponential(100.0))
+            else DEFAULT_DIST)
     dt = _number("dt", doc.get("dt", DEFAULT_DT))
     horizon = _number("horizon", doc.get("horizon", DEFAULT_HORIZON))
     eps = _number("extinction_epsilon",

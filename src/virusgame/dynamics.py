@@ -30,9 +30,9 @@ class ThresholdDistribution:
     """Distribution of source activation thresholds.
 
     Supported kinds: exponential(mean), uniform(lo, hi), weibull(shape, scale).
-    Exposes the c.d.f. F and the hazard f/(1-F); the hazard is what the
-    source ODE consumes.  Where F saturates (F = 1) the hazard is returned
-    as +inf and the integrator substitutes the last finite value.
+    Exposes the hazard f/(1-F), which is what the source ODE consumes, and
+    a sampler for the oracle.  Where F saturates (F = 1) the hazard is
+    returned as +inf and the integrator substitutes the last finite value.
     """
 
     kind: str
@@ -60,19 +60,6 @@ class ThresholdDistribution:
         if shape <= 0 or scale <= 0:
             raise ValueError("weibull shape and scale must be positive")
         return cls("weibull", (float(shape), float(scale)))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            (m,) = self.params
-            return np.where(x < 0, 0.0, -np.expm1(-np.maximum(x, 0.0) / m))
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        if self.kind == "weibull":
-            k, s = self.params
-            return np.where(x < 0, 0.0, -np.expm1(-((np.maximum(x, 0.0) / s) ** k)))
-        raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
 
     def hazard(self, x):
         """Activation hazard f(x)/(1-F(x)); +inf where F has saturated."""
@@ -106,9 +93,6 @@ class ThresholdDistribution:
             k, s = self.params
             return s * rng.weibull(k, size)
         raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
-
-
-DEFAULT_DIST = ThresholdDistribution.exponential(100.0)
 
 
 @dataclass(frozen=True)
@@ -145,6 +129,17 @@ class SystemParams:
             raise ValueError("s0 cannot exceed n_sources")
 
 
+# field names of SystemParams, in declaration order
+PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
+
+# the Section IV roster: a config's defaults and the equilibrium studies' base
+DEFAULT_PARAMS = SystemParams(n_nodes=500, n_sources=50, beta=1e-4,
+                              gamma=1e-3, delta=0.1, delta_s=0.1,
+                              lambda_influence=1e-4, x0=0.0, s0=10.0,
+                              infection_cost=1.0, update_cost=0.1)
+DEFAULT_DIST = ThresholdDistribution.exponential(100.0)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled solution plus extinction metadata.
@@ -157,7 +152,6 @@ class Trajectory:
     x: np.ndarray
     s: np.ndarray
     x_bar: np.ndarray
-    k_protected: float
     extinction_time: Optional[float]
     hazard_saturated: bool = False
 
@@ -304,8 +298,7 @@ def integrate(params: SystemParams, k_protected: float,
     i_peak = int(np.argmax(x))
     below = np.nonzero(x[i_peak:] <= extinction_epsilon)[0]
     extinction = float(t[i_peak + below[0]]) if below.size else None
-    return Trajectory(t=t, x=x, s=s, x_bar=xb, k_protected=float(k_protected),
-                      extinction_time=extinction,
+    return Trajectory(t=t, x=x, s=s, x_bar=xb, extinction_time=extinction,
                       hazard_saturated=bool(stepper.c.saturated.any()))
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_HORIZON,
                        SystemParams, ThresholdDistribution)
-from .game import gap_table
 from .risk import risk_profile
 
 RESIDUAL_TOL = 1e-9
@@ -54,6 +53,12 @@ class NoInteriorEquilibrium:
 
 
 EquilibriumResult = Union[Pure, FullyMixed, MixerProfile, NoInteriorEquilibrium]
+
+
+def gap_table(risk: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Indifference gap I_c * P_i(k) - U_c over the whole risk table:
+    positive where a non-updater facing k updaters would rather update."""
+    return params.infection_cost * np.asarray(risk, dtype=float) - params.update_cost
 
 
 def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
@@ -127,8 +132,7 @@ def _bernstein_scan(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
         for lo in range(0, len(grid), _SCAN_BLOCK)])
 
 
-def _solve_bernstein(gap: np.ndarray, residual_tol: float = RESIDUAL_TOL,
-                     interval_tol: float = INTERVAL_TOL):
+def _solve_bernstein(gap: np.ndarray):
     """Root of the monotone Bernstein polynomial; returns (p, residual) or a
     NoInteriorEquilibrium when the gap has one sign at both ends."""
     f0 = _bernstein_gap(gap, 0.0)
@@ -155,10 +159,10 @@ def _solve_bernstein(gap: np.ndarray, residual_tol: float = RESIDUAL_TOL,
     idx = int(np.nonzero(vals <= 0)[0][0])
     lo, hi = grid[idx - 1], grid[idx]
     flo = vals[idx - 1]
-    while hi - lo > interval_tol:
+    while hi - lo > INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
         fm = _bernstein_gap(gap, mid)
-        if abs(fm) <= residual_tol:
+        if abs(fm) <= RESIDUAL_TOL:
             return float(mid), fm
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
@@ -168,15 +172,13 @@ def _solve_bernstein(gap: np.ndarray, residual_tol: float = RESIDUAL_TOL,
     return float(mid), _bernstein_gap(gap, mid)
 
 
-def mixed_ne(risk: np.ndarray, params: SystemParams,
-             residual_tol: float = RESIDUAL_TOL,
-             interval_tol: float = INTERVAL_TOL) -> EquilibriumResult:
+def mixed_ne(risk: np.ndarray, params: SystemParams) -> EquilibriumResult:
     """Symmetric fully mixed equilibrium activation probability."""
     n = params.n_nodes
     if len(risk) < n + 1:
         raise ValueError("risk table must cover k = 0..N")
     gap = gap_table(risk, params)[:n]  # k = 0..N-1 opponents updating
-    sol = _solve_bernstein(gap, residual_tol, interval_tol)
+    sol = _solve_bernstein(gap)
     if isinstance(sol, NoInteriorEquilibrium):
         return sol
     p, res = sol
@@ -184,9 +186,7 @@ def mixed_ne(risk: np.ndarray, params: SystemParams,
 
 
 def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
-                      params: SystemParams,
-                      residual_tol: float = RESIDUAL_TOL,
-                      interval_tol: float = INTERVAL_TOL) -> EquilibriumResult:
+                      params: SystemParams) -> EquilibriumResult:
     """Equilibrium when n_u players always update, n_nu never do, and the
     rest mix.  Feasible only for n_u < psi and n_u + n_nu <= N - 2."""
     n = params.n_nodes
@@ -207,7 +207,7 @@ def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
 
     m = n - n_u - n_nu  # mixers
     gap = gap_table(risk, params)[n_u:n_u + m]  # focal mixer vs m-1 opponents
-    sol = _solve_bernstein(gap, residual_tol, interval_tol)
+    sol = _solve_bernstein(gap)
     if isinstance(sol, NoInteriorEquilibrium):
         return sol
     p, res = sol
@@ -218,7 +218,7 @@ def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
     if n_u > 0:
         full_gap = gap_table(risk, params)
         dev = float(_binom_pmf(m, p) @ full_gap[n_u - 1:n_u + m])
-        violation = dev < -residual_tol
+        violation = dev < -RESIDUAL_TOL
     return MixerProfile(n_u=n_u, n_nu=n_nu, p_star=p, residual=res,
                         stability_violation=violation)
 

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import equilibrium as eq
-from .dynamics import (DEFAULT_DT, DEFAULT_HORIZON, SystemParams,
+from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_HORIZON,
+                       DEFAULT_PARAMS, PARAM_FIELDS, SystemParams,
                        ThresholdDistribution, Trajectory, integrate)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
@@ -31,8 +32,6 @@ _SCALAR_OUTPUTS = ("infection_probability", "p_star", "psi", "gain",
                    "u_c_star", "t_f")
 _VALID_OUTPUTS = _SCALAR_OUTPUTS + ("trajectory",)
 
-_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -43,11 +42,10 @@ class ExperimentSpec:
     outputs: Tuple[str, ...]
     dt: float = DEFAULT_DT
     horizon: float = DEFAULT_HORIZON
-    seed: int = 0
 
     def __post_init__(self):
         param, values = self.sweep
-        if param not in _PARAM_FIELDS and param not in _SPECIAL_SWEEPS:
+        if param not in PARAM_FIELDS and param not in _SPECIAL_SWEEPS:
             raise ValueError(f"unknown sweep parameter {param!r}")
         if len(values) == 0:
             raise ValueError("sweep value list must be nonempty")
@@ -70,6 +68,9 @@ def _apply_sweep(base: SystemParams, param: str, value):
             raise ValueError("activation probability sweep values must lie in [0,1]")
         return base, value * base.n_nodes
     if param == "k_protected":
+        if not 0 <= value <= base.n_nodes:
+            raise ValueError(f"k_protected sweep values must lie in "
+                             f"[0, n_nodes={base.n_nodes}]")
         return base, float(value)
     if param in ("n_nodes", "n_sources"):
         value = int(value)
@@ -203,15 +204,9 @@ _FIG3_BASE = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
 
 _FIG5_BASE = dataclasses.replace(_FIG3_BASE, lambda_influence=1e-4)
 
-_SECTION_IV_BASE = SystemParams(n_nodes=500, n_sources=50, beta=1e-4,
-                                gamma=1e-3, delta=0.1, delta_s=0.1,
-                                lambda_influence=1e-4, x0=0.0, s0=10.0,
-                                infection_cost=1.0, update_cost=0.1)
-
-_FIG9_BASE = dataclasses.replace(_SECTION_IV_BASE, n_nodes=100)
+_FIG9_BASE = dataclasses.replace(DEFAULT_PARAMS, n_nodes=100)
 
 _POPULARITY_DIST = ThresholdDistribution.weibull(2.0, 500.0)
-_EXP_DIST = ThresholdDistribution.exponential(100.0)
 
 
 def builtin_suite() -> List[ExperimentSpec]:
@@ -229,17 +224,17 @@ def builtin_suite() -> List[ExperimentSpec]:
                        dist=_POPULARITY_DIST,
                        sweep=("p", (0.3, 0.4, 0.495)),
                        outputs=("infection_probability", "t_f")),
-        ExperimentSpec(name="fig6_pstar_vs_n", base=_SECTION_IV_BASE,
-                       dist=_EXP_DIST, sweep=("n_nodes", n_grid),
+        ExperimentSpec(name="fig6_pstar_vs_n", base=DEFAULT_PARAMS,
+                       dist=DEFAULT_DIST, sweep=("n_nodes", n_grid),
                        outputs=("p_star",)),
-        ExperimentSpec(name="fig7_gain", base=_SECTION_IV_BASE,
-                       dist=_EXP_DIST, sweep=("n_nodes", n_grid),
+        ExperimentSpec(name="fig7_gain", base=DEFAULT_PARAMS,
+                       dist=DEFAULT_DIST, sweep=("n_nodes", n_grid),
                        outputs=("p_star", "gain")),
-        ExperimentSpec(name="fig8_pstar_vs_cost", base=_SECTION_IV_BASE,
-                       dist=_EXP_DIST, sweep=("update_cost", cost_grid),
+        ExperimentSpec(name="fig8_pstar_vs_cost", base=DEFAULT_PARAMS,
+                       dist=DEFAULT_DIST, sweep=("update_cost", cost_grid),
                        outputs=("p_star", "u_c_star")),
         ExperimentSpec(name="fig9_x_vs_cost", base=_FIG9_BASE,
-                       dist=_EXP_DIST,
+                       dist=DEFAULT_DIST,
                        sweep=("update_cost", (0.05, 0.1, 0.2, 0.4)),
                        outputs=("trajectory", "t_f")),
     ]

@@ -12,12 +12,11 @@ deactivated source redraws a fresh threshold and may be influenced again.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import warnings
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -208,12 +207,3 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
         truncated += res.truncated
     _warn_truncated(truncated, n_reps)
     return t_grid, acc / n_reps
-
-
-def write_event_log(path, events) -> None:
-    """Event log CSV: t,event_type,entity_id."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "event_type", "entity_id"])
-        for t, kind, entity in events:
-            writer.writerow([format(t, ".9g"), kind, entity])

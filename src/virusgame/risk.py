@@ -35,21 +35,29 @@ class InfectionRisk:
     truncated: bool = False
 
 
-def infection_probability(traj: Trajectory, params: SystemParams) -> InfectionRisk:
-    """P(infected before extinction) by trapezoidal quadrature of the hazard.
+def _hazard_mass(traj: Trajectory, params: SystemParams):
+    """(t_f, truncated, cum): the end of the epidemic and the trapezoid
+    integral of the hazard beta*X + gamma*S from 0 to every sample time.
 
-    If the trajectory never went extinct, the horizon end is used as t_f and
-    the result is flagged truncated.
+    t_f is the extinction time; if the trajectory never went extinct it is
+    the horizon end, and truncated is set.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if (traj.x < 0).any() or (traj.s < 0).any():
-        raise ValueError("trajectory contains negative samples")
     truncated = traj.extinction_time is None
     t_f = float(traj.t[-1]) if truncated else traj.extinction_time
-    mask = traj.t <= t_f + 1e-12
-    hazard = params.beta * traj.x[mask] + params.gamma * traj.s[mask]
-    integral = float(np.trapezoid(hazard, traj.t[mask]))
+    hazard = params.beta * traj.x + params.gamma * traj.s
+    seg = 0.5 * np.diff(traj.t) * (hazard[:-1] + hazard[1:])
+    return t_f, truncated, np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def infection_probability(traj: Trajectory, params: SystemParams) -> InfectionRisk:
+    """P(infected before extinction) by trapezoidal quadrature of the hazard
+    over [0, t_f]; flagged truncated when t_f is the horizon end."""
+    if (traj.x < 0).any() or (traj.s < 0).any():
+        raise ValueError("trajectory contains negative samples")
+    t_f, truncated, cum = _hazard_mass(traj, params)
+    integral = float(np.interp(t_f, traj.t, cum))
     return InfectionRisk(p_infect=float(-np.expm1(-integral)),
                          hazard_integral=integral, t_f=t_f, truncated=truncated)
 
@@ -60,15 +68,8 @@ def remaining_risk(traj: Trajectory, params: SystemParams) -> np.ndarray:
     Starts at the full infection probability and decays to zero as the
     remaining hazard mass vanishes; samples past t_f are exactly zero.
     """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    truncated = traj.extinction_time is None
-    t_f = float(traj.t[-1]) if truncated else traj.extinction_time
-    hazard = params.beta * traj.x + params.gamma * traj.s
-    seg = 0.5 * np.diff(traj.t) * (hazard[:-1] + hazard[1:])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = np.interp(t_f, traj.t, cum)
-    tail = np.maximum(total - cum, 0.0)
+    t_f, _, cum = _hazard_mass(traj, params)
+    tail = np.maximum(np.interp(t_f, traj.t, cum) - cum, 0.0)
     tail[traj.t > t_f + 1e-12] = 0.0
     return -np.expm1(-tail)
 

@@ -17,7 +17,7 @@ from virusgame.cli import main as cli_main
 from virusgame.dynamics import SystemParams, ThresholdDistribution, integrate
 from virusgame.experiments import (FIG8_BETA_RATIOS, fig8_ratio_variants,
                                    get_builtin, run)
-from virusgame.game import gap_table
+from virusgame.equilibrium import gap_table
 from virusgame.oracle import (empirical_infection_probability,
                               mean_infected_path)
 from virusgame.risk import infection_probability, remaining_risk, risk_profile

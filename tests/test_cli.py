@@ -56,6 +56,16 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["1000", "-3"])
+    def test_k_protected_out_of_range_exits_one(self, config_path, tmp_path,
+                                                capsys, k):
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", config_path, "--k-protected", k,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --k-protected must lie in 0..n_nodes")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", config_path, "--p", "0.2", "--out", str(a)])
@@ -121,6 +131,35 @@ class TestSweep:
         assert len(lines) == 3
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert probs[0] > probs[1]
+
+    @pytest.mark.parametrize("param,value", [
+        ("n_nodes", 100.7),        # a count with a fraction
+        ("update_cost", "0.1"),    # a string where a number belongs
+        ("k_protected", 500),      # more protected nodes than n_nodes=30
+    ])
+    def test_bad_sweep_values_refused_at_load(self, tmp_path, capsys,
+                                              param, value):
+        spec = {
+            "name": "toy",
+            "config": SMALL_CONFIG,
+            "sweep": {"param": param, "values": [value]},
+            "outputs": ["infection_probability"],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment spec {spec_path}: ")
+        assert not out.exists()
+
+    def test_non_object_spec_file_exits_one(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[]")
+        assert main(["sweep", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment spec {spec_path}: ")
 
     def test_invalid_spec_file(self, tmp_path):
         bad = tmp_path / "bad.json"

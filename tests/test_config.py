@@ -5,7 +5,7 @@ import pytest
 
 from virusgame.cli import EXIT_CONFIG, main
 from virusgame.config import ConfigError, parse_config
-from virusgame.experiments import builtin_suite
+from virusgame.experiments import builtin_suite, get_builtin
 
 SMALL_CONFIG = {
     "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
@@ -117,3 +117,12 @@ def test_builtin_grids_accepted():
     for spec in builtin_suite():
         doc = {**SMALL_CONFIG, "dt": spec.dt, "horizon": spec.horizon}
         assert parse_config(doc).horizon == spec.horizon
+
+
+def test_defaults_are_the_section_iv_builtin():
+    """An empty config is the roster and threshold distribution of the
+    Section IV studies."""
+    cfg = parse_config({})
+    spec = get_builtin("fig6_pstar_vs_n")
+    assert cfg.params == spec.base
+    assert cfg.dist == spec.dist

@@ -11,7 +11,7 @@ from scipy.stats import binom
 
 from virusgame import equilibrium as eq
 from virusgame.dynamics import SystemParams, ThresholdDistribution
-from virusgame.game import Strategy, gap_table, payoff
+from virusgame.equilibrium import gap_table
 from virusgame.risk import risk_profile
 
 EXP100 = ThresholdDistribution.exponential(100.0)
@@ -146,13 +146,14 @@ class TestPureNE:
         psi = eq.pure_ne(risk, FIG3).psi
         n = FIG3.n_nodes
 
-        def v(strategy, k):
-            return payoff(strategy, k, risk, FIG3).value
+        def stay(k):  # payoff of a non-updater facing k updaters
+            return -float(risk[k]) * FIG3.infection_cost
+        update = -FIG3.update_cost  # an updater's payoff, whatever k is
 
         # brute-force check of both equilibrium conditions over every k
         for k in range(n + 1):
-            cond1 = k == 0 or v(Strategy.NOT_UPDATE, k - 1) <= v(Strategy.UPDATE, k)
-            cond2 = k == n or v(Strategy.NOT_UPDATE, k) >= v(Strategy.UPDATE, k + 1)
+            cond1 = k == 0 or stay(k - 1) <= update
+            cond2 = k == n or stay(k) >= update
             assert (cond1 and cond2) == (k == psi)
 
     def test_non_monotone_table_rejected(self):

@@ -1,9 +1,13 @@
+"""The indifference gap D(k) = I_c * P_i(k) - U_c (equilibrium.gap_table),
+which every equilibrium solver reads."""
+
+import dataclasses
+
 import numpy as np
 import pytest
 
 from virusgame.dynamics import SystemParams
-from virusgame.game import (Fitness, Mixed, Strategy, gap_table,
-                            indifference_gap, payoff)
+from virusgame.equilibrium import gap_table
 
 PARAMS = SystemParams(n_nodes=10, n_sources=5, beta=1e-3, gamma=1e-3,
                       delta=0.1, delta_s=0.1, lambda_influence=1e-4,
@@ -12,56 +16,24 @@ PARAMS = SystemParams(n_nodes=10, n_sources=5, beta=1e-3, gamma=1e-3,
 RISK = np.linspace(1.0, 0.0, 11)  # P_i(k) = 1 - k/10
 
 
-def test_updater_pays_update_cost_regardless_of_k():
-    for k in range(11):
-        assert payoff(Strategy.UPDATE, k, RISK, PARAMS) == Fitness(-0.1)
-
-
-def test_non_updater_risk_weighted_loss():
-    assert payoff(Strategy.NOT_UPDATE, 10, RISK, PARAMS).value == 0.0
-    assert payoff(Strategy.NOT_UPDATE, 0, RISK, PARAMS).value == -1.0
-    assert payoff(Strategy.NOT_UPDATE, 5, RISK, PARAMS).value == pytest.approx(-0.5)
-
-
-def test_degenerate_mixed_aliases_pure():
-    assert payoff(Mixed(1.0), 3, RISK, PARAMS) == payoff(Strategy.UPDATE, 3, RISK, PARAMS)
-    assert payoff(Mixed(0.0), 3, RISK, PARAMS) == payoff(Strategy.NOT_UPDATE, 3, RISK, PARAMS)
-
-
-def test_interior_mixed_rejected():
-    with pytest.raises(ValueError):
-        payoff(Mixed(0.5), 3, RISK, PARAMS)
-
-
-def test_k_out_of_range():
-    with pytest.raises(ValueError):
-        payoff(Strategy.UPDATE, 11, RISK, PARAMS)
-    with pytest.raises(ValueError):
-        indifference_gap(-1, RISK, PARAMS)
-
-
 def test_gap_sign_convention():
     # gap > 0: updating beats staying exposed
-    assert indifference_gap(0, RISK, PARAMS) == pytest.approx(0.9)
-    assert indifference_gap(10, RISK, PARAMS) == pytest.approx(-0.1)
+    gaps = gap_table(RISK, PARAMS)
+    assert gaps[0] == pytest.approx(0.9)
+    assert gaps[10] == pytest.approx(-0.1)
 
 
 def test_cost_dominates_risk():
-    import dataclasses
     pricey = dataclasses.replace(PARAMS, update_cost=1.5)
-    assert all(indifference_gap(k, RISK, pricey) <= 0 for k in range(11))
+    assert (gap_table(RISK, pricey) <= 0).all()
 
 
 def test_no_infection_cost_flat_gap():
-    import dataclasses
     free = dataclasses.replace(PARAMS, infection_cost=0.0)
-    for k in range(11):
-        assert indifference_gap(k, RISK, free) == pytest.approx(-0.1)
+    for gap in gap_table(RISK, free):
+        assert gap == pytest.approx(-0.1)
 
 
 def test_gap_monotone_with_risk():
     gaps = gap_table(RISK, PARAMS)
     assert (np.diff(gaps) <= 0).all()
-    # and payoff(NotUpdate, .) nondecreasing in k
-    values = [payoff(Strategy.NOT_UPDATE, k, RISK, PARAMS).value for k in range(11)]
-    assert (np.diff(values) >= 0).all()

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from virusgame.dynamics import SystemParams, ThresholdDistribution, integrate
 from virusgame.oracle import (empirical_infection_probability,
-                              mean_infected_path, simulate_ctmc,
-                              write_event_log)
+                              mean_infected_path, simulate_ctmc)
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 
@@ -143,17 +141,3 @@ class TestMeanFieldAgreement:
         assert errors[0] > errors[1] > errors[2]
         assert errors[-1] < 0.15
 
-
-class TestEventLog:
-    def test_csv_round_trip(self, tmp_path):
-        res = simulate_ctmc(SMALL, EXP100, 0, seed=7, horizon=80.0)
-        out = tmp_path / "events.csv"
-        write_event_log(out, res.events)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "event_type", "entity_id"]
-        assert len(rows) == len(res.events) + 1
-        for row, (t, kind, entity) in zip(rows[1:], res.events):
-            assert float(row[0]) == pytest.approx(t, rel=1e-8)
-            assert row[1] == kind
-            assert int(row[2]) == entity

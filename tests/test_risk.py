@@ -20,8 +20,7 @@ EXP100 = ThresholdDistribution.exponential(100.0)
 def _flat_trajectory(x, s, horizon, n, extinct=None):
     t = np.linspace(0.0, horizon, n)
     return Trajectory(t=t, x=np.full(n, x), s=np.full(n, s),
-                      x_bar=np.full(n, x), k_protected=0.0,
-                      extinction_time=extinct)
+                      x_bar=np.full(n, x), extinction_time=extinct)
 
 
 class TestInfectionProbability:
@@ -55,8 +54,7 @@ class TestInfectionProbability:
 
     def test_empty_trajectory_rejected(self):
         empty = Trajectory(t=np.array([]), x=np.array([]), s=np.array([]),
-                           x_bar=np.array([]), k_protected=0.0,
-                           extinction_time=None)
+                           x_bar=np.array([]), extinction_time=None)
         with pytest.raises(ValueError):
             infection_probability(empty, FIG3)
 
