@@ -175,25 +175,31 @@ def step_count(horizon: float, dt: float) -> int:
     return n_steps
 
 
+def _constant_hazard(dist: ThresholdDistribution) -> Optional[float]:
+    """The hazard wherever x_bar >= 0 if it is a finite constant there
+    (exponential thresholds: 1/mean), else None."""
+    h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
+    return h if math.isfinite(h) else None
+
+
 class _Stepper:
-    """Fixed-step RK4 for a stack of columns of the state (x, s, x_bar).
+    """Fixed-step RK4 for a stack of columns of the state (x, s, x_bar),
+    the engine of ``batch_extinction_stats``.
 
     A state is a (3, n) array; stages go into buffers allocated once per
     column set, and each operation groups its operands as the per-column
     formula does, so a column is bit-identical alone or stacked.  The
-    exponential hazard is the constant 1/mean for x_bar >= 0 (a negative
-    x_bar falls back to ``dist.hazard``); a saturated (+inf) hazard keeps
-    the last finite value ``c.h_last`` and sets ``c.saturated``.  With
-    ``bounds`` (one column) the state is clipped to scalar bounds, which
-    keep the sign of a zero, and x_bar kept nondecreasing.
+    exponential hazard is the constant 1/mean where every column has
+    x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
+    hazard keeps the last finite value ``c.h_last`` and sets
+    ``c.saturated``.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
-                 dt: float, bounds: Optional[tuple] = None):
-        self.dist, self.bounds = dist, bounds
+                 dt: float):
+        self.dist = dist
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
-        h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
-        self.h_exp = h if math.isfinite(h) else None
+        self.h_exp = _constant_hazard(dist)
         c.h_last, c.saturated = np.zeros(len(c.k)), np.zeros(len(c.k), bool)
         self.keep(c, slice(None))
 
@@ -210,14 +216,12 @@ class _Stepper:
         self.lamh, self.stage = np.empty(n), np.empty((3, n))
         self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
                       self.room[0], self.room[1])
-        self.one = n == 1
         # derivatives (dx, ds, dx_bar, activation term) and views into them
         self.k1, self.kj = (
             (d[:3], d[2], d[3], d[2:], d[:2]) for d in np.empty((2, 4, n)))
 
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
-        if self.h_exp is not None and (
-                x_bar[0] >= 0.0 if self.one else x_bar.min(initial=0.0) >= 0.0):
+        if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
             self.c.h_last = self.h_const
             return self.lam_h
         h = np.asarray(self.dist.hazard(x_bar), dtype=float)
@@ -256,12 +260,7 @@ class _Stepper:
             k = d
         np.multiply(acc, self.sixth, out=acc)
         np.add(y0, acc, out=out)
-        if self.bounds is None:
-            np.clip(out[:2], 0.0, self.hi, out=out[:2])
-        else:
-            np.clip(out[0], 0.0, self.bounds[0], out=out[0])
-            np.clip(out[1], 0.0, self.bounds[1], out=out[1])
-            np.maximum(out[2], y0[2], out=out[2])
+        np.clip(out[:2], 0.0, self.hi, out=out[:2])
 
     def advance(self, states: np.ndarray, i0: int) -> None:
         """Step states[:, 0] into states[:, 1:] (steps i0+1, i0+2, ...);
@@ -282,24 +281,81 @@ def integrate(params: SystemParams, k_protected: float,
               horizon: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
               extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON) -> Trajectory:
     """Fixed-step RK4 integration over [0, horizon] at a given protection
-    level: the one-column engine, keeping every step.  States are clamped to
-    their admissible ranges and the cumulative count kept nondecreasing."""
+    level, keeping every step.  States are clamped to their admissible
+    ranges and the cumulative count kept nondecreasing.
+
+    One recorded column steps in Python floats: a ``_Stepper`` step costs
+    some 46 numpy calls whatever its column count, many times the
+    arithmetic of one column.  Every operation groups its operands as
+    ``_Stepper`` does, the hazard falls back and saturates as there, and
+    the clip keeps the sign of a zero as ``np.clip`` does with scalar
+    bounds."""
     n_steps = step_count(horizon, dt)
-    c = _column_constants(params, np.array([float(k_protected)]))
-    stepper = _Stepper(c, dist, dt, bounds=(
-        max(params.n_nodes - k_protected, params.x0), params.n_sources))
-    hist = np.empty((3, n_steps + 1, 1))
-    hist[:, 0, 0] = params.x0, params.s0, params.x0
+    k = float(k_protected)
+    if not 0.0 <= k <= params.n_nodes:
+        raise ValueError("k_protected must lie in [0, n_nodes]")
+    beta, gamma = float(params.beta), float(params.gamma)
+    neg_delta, neg_delta_s = -float(params.delta), -float(params.delta_s)
+    lam, n_s = float(params.lambda_influence), float(params.n_sources)
+    cap = float(params.n_nodes) - k
+    x_hi = max(cap, float(params.x0))
+    h_exp = _constant_hazard(dist)
+    lam_h = None if h_exp is None else lam * h_exp
+    one = np.empty(1)  # the hazard's argument, as in a one-column stack
+    h_last, saturated = 0.0, False
+
+    def lam_hazard(xb: float) -> float:
+        nonlocal h_last, saturated
+        one[0] = xb
+        h = float(dist.hazard(one)[0])
+        if not math.isfinite(h):
+            saturated, h = True, h_last
+        h_last = h
+        return lam * h
+
+    def rhs(x: float, s: float, xb: float) -> tuple:
+        # as np.maximum: NaN stays NaN, and cap - x is never -0.0 (cap >= +0)
+        force = (beta * x + gamma * s) * max(cap - x, 0.0)
+        act = (lam_h if lam_h is not None and xb >= 0.0
+               else lam_hazard(xb)) * (n_s - s)
+        return neg_delta * x + force, neg_delta_s * s + act, force
+
+    half, sixth = 0.5 * dt, dt / 6.0
+    hist = np.empty((3, n_steps + 1))
+    hx, hs, hxb = hist
+    x = hx[0] = float(params.x0)
+    s = hs[0] = float(params.s0)
+    xb = hxb[0] = x
     for i0 in range(0, n_steps, _STOP_EVERY):  # stop soon after a blow-up
-        stepper.advance(hist[:, i0:i0 + _STOP_EVERY + 1], i0)
-    x, s, xb = hist[:, :, 0]
+        i1 = min(i0 + _STOP_EVERY, n_steps)
+        for i in range(i0 + 1, i1 + 1):
+            a1, b1, c1 = rhs(x, s, xb)
+            a2, b2, c2 = rhs(x + a1 * half, s + b1 * half, xb + c1 * half)
+            a3, b3, c3 = rhs(x + a2 * half, s + b2 * half, xb + c2 * half)
+            a4, b4, c4 = rhs(x + a3 * dt, s + b3 * dt, xb + c3 * dt)
+            # y + (((k1 + k2*2) + k3*2) + k4) * (dt/6), then the clip
+            x = x + (((a1 + a2 * 2.0) + a3 * 2.0) + a4) * sixth
+            s = s + (((b1 + b2 * 2.0) + b3 * 2.0) + b4) * sixth
+            nxb = xb + (((c1 + c2 * 2.0) + c3 * 2.0) + c4) * sixth
+            x = 0.0 if x < 0.0 else x_hi if x > x_hi else x
+            s = 0.0 if s < 0.0 else n_s if s > n_s else s
+            if nxb > xb or nxb != nxb:  # np.maximum(nxb, xb)
+                xb = nxb
+            hx[i], hs[i], hxb[i] = x, s, xb
+        bad = ~np.isfinite(hist[:, i0 + 1:i1 + 1]).all(axis=0)
+        if bad.any():
+            i = i0 + 1 + int(np.argmax(bad))
+            raise RuntimeError(
+                f"non-finite state at step {i} (t={i * dt:g}) for "
+                f"k_protected={k:g} in the table with "
+                f"n_nodes={params.n_nodes:g}")
     t = np.arange(n_steps + 1) * dt
 
-    i_peak = int(np.argmax(x))
-    below = np.nonzero(x[i_peak:] <= extinction_epsilon)[0]
+    i_peak = int(np.argmax(hx))
+    below = np.nonzero(hx[i_peak:] <= extinction_epsilon)[0]
     extinction = float(t[i_peak + below[0]]) if below.size else None
-    return Trajectory(t=t, x=x, s=s, x_bar=xb, extinction_time=extinction,
-                      hazard_saturated=bool(stepper.c.saturated.any()))
+    return Trajectory(t=t, x=hx, s=hs, x_bar=hxb, extinction_time=extinction,
+                      hazard_saturated=saturated)
 
 
 # the SystemParams fields the right-hand side and initial state read

@@ -44,6 +44,12 @@ class ExperimentSpec:
     horizon: float = DEFAULT_HORIZON
 
     def __post_init__(self):
+        # the name becomes a file name inside the output directory
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c and c in self.name
+                       for c in ("/", os.sep, os.altsep, "\0"))):
+            raise ValueError(f"spec name {self.name!r} is not a plain file "
+                             f"name")
         param, values = self.sweep
         if param not in PARAM_FIELDS and param not in _SPECIAL_SWEEPS:
             raise ValueError(f"unknown sweep parameter {param!r}")

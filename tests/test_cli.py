@@ -153,6 +153,22 @@ class TestSweep:
             f"error: invalid experiment spec {spec_path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "..", "a/b", ""])
+    def test_spec_name_escaping_out_refused(self, tmp_path, capsys, name):
+        spec = {
+            "name": name,
+            "config": SMALL_CONFIG,
+            "sweep": {"param": "p", "values": [0.1]},
+            "outputs": ["infection_probability"],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o" / "inner"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment spec {spec_path}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
     def test_non_object_spec_file_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text("[]")

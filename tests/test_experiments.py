@@ -39,6 +39,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(sweep=("p", ()))
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b",
+                                      "/abs", "a\0b"])
+    def test_name_must_be_a_plain_file_name(self, name):
+        with pytest.raises(ValueError, match="not a plain file name"):
+            small_spec(name=name)
+
 
 class TestRun:
     def test_rows_sorted_by_sweep_value(self):

@@ -9,22 +9,27 @@ shows up here.  The matrix covers the three threshold kinds, protected and
 unprotected populations, a nonzero initial infection, a saturating uniform
 hazard, signed-zero initial values, a stiff case (delta * dt = 10) in which an RK4 stage drives the
 cumulative count below zero, and stacked multi-table batches that stop
-early, truncate at the horizon and saturate.  A plain per-step RK4, one
-step and one bookkeeping update at a time, serves as the reference on a
-wider set of random cases.
+early, truncate at the horizon and saturate.  The CSV files written from
+``integrate``'s trajectories (three builtin sweeps and two ``virusgame
+simulate`` runs) are hashed as well.  A plain per-step RK4, one step and
+one bookkeeping update at a time, serves as the reference for both
+integrators on a wider set of random cases.
 """
 
 import dataclasses
 import hashlib
+import json
 import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from virusgame.cli import main
 from virusgame.dynamics import (SystemParams, ThresholdDistribution,
                                 _column_constants, _stoppable,
                                 batch_extinction_stats, integrate)
+from virusgame.experiments import get_builtin, run
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -317,10 +322,66 @@ def test_matches_per_step_reference():
                                          dt=dt)
             want = reference_batch(params, k, dist, horizon, dt)
             assert all(map(_same, got, want)), (params[0], dist, horizon, dt)
-            traj = integrate(params[-1], float(k[-1]) // 2, dist,
-                             horizon=horizon, dt=dt)
-            t, states, t_f, sat = reference_integrate(
-                params[-1], float(k[-1]) // 2, dist, horizon, dt)
-        assert _same(np.array([traj.t, traj.x, traj.s, traj.x_bar]),
-                     np.vstack([t, states]))
-        assert (traj.extinction_time, traj.hazard_saturated) == (t_f, sat)
+        # k = 0, integral, fractional, and k = N: no pool, x_hi = x0
+        n = float(k[-1])
+        for kp in (0.0, n // 2, 0.37 * n, n):
+            with np.errstate(all="ignore"):
+                traj = integrate(params[-1], kp, dist, horizon=horizon, dt=dt)
+                t, states, t_f, sat = reference_integrate(
+                    params[-1], kp, dist, horizon, dt)
+            assert _same(np.array([traj.t, traj.x, traj.s, traj.x_bar]),
+                         np.vstack([t, states])), (params[-1], kp, dist)
+            assert (traj.extinction_time, traj.hazard_saturated) == (t_f, sat)
+
+
+# CSV bytes written from integrate's trajectories: the builtin sweeps that
+# record trajectories or read one (fig4_sources is fig3_infection under
+# another name), and `virusgame simulate` at a fractional protection count
+SWEEP_CSV_GOLDEN = {
+    "fig3_infection":
+        "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",
+    "fig5_infection_prob":
+        "8a944f3815627104708ab1594e9eb058452af41a95b2d92d4b24f77577520592",
+    "fig9_x_vs_cost":
+        "2096f9fb6e85136a521068fc82374978fb0aa7cfd464bd4bdbdfa882620ef29b",
+}
+
+SIMULATE_CONFIGS = {
+    "exponential": dict(dataclasses.asdict(FIG3), threshold_dist={
+        "kind": "exponential", "params": {"mean": 100.0}}),
+    "weibull": dict(dataclasses.asdict(FIG3), lambda_influence=1e-4,
+                    threshold_dist={"kind": "weibull", "params": {
+                        "shape": 2.0, "scale": 500.0}}),
+}
+SIMULATE_P = "0.333"  # k_protected = 33.3
+
+SIMULATE_CSV_GOLDEN = {
+    "exponential":
+        "8de2d25d2c49775561b98a029284471dbaa13c10a8a69e1537b62171b42827b2",
+    "weibull":
+        "9f34d4ff023f6a57cc390a091fd8751cde1d7d8a59f5d362153f58c93439a08d",
+}
+
+
+def _files_digest(directory):
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CSV_GOLDEN))
+def test_sweep_csvs_are_pinned(name, tmp_path):
+    run(get_builtin(name), str(tmp_path))
+    assert _files_digest(tmp_path) == SWEEP_CSV_GOLDEN[name]
+
+
+@pytest.mark.parametrize("kind", sorted(SIMULATE_CONFIGS))
+def test_simulate_csv_is_pinned(kind, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SIMULATE_CONFIGS[kind]))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--p", SIMULATE_P,
+                 "--out", str(out)]) == 0
+    assert _files_digest(out) == SIMULATE_CSV_GOLDEN[kind]
