@@ -180,6 +180,8 @@ def _cmd_oracle(args) -> int:
     k = args.k_protected
     if args.reps < 100:
         raise ConfigError("--reps must be at least 100")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     if not 0 <= k <= cfg.params.n_nodes:
         raise ConfigError("--k-protected must lie in 0..n_nodes")
     with warnings.catch_warnings(record=True) as caught:

@@ -9,18 +9,12 @@ from dataclasses import dataclass
 
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
-                       SystemParams, ThresholdDistribution, step_count)
+                       THRESHOLD_PARAMS, SystemParams, ThresholdDistribution,
+                       step_count)
 
 
 class ConfigError(ValueError):
     pass
-
-
-_DIST_PARAMS = {
-    "exponential": ("mean",),
-    "uniform": ("lo", "hi"),
-    "weibull": ("shape", "scale"),
-}
 
 
 @dataclass(frozen=True)
@@ -35,7 +29,8 @@ class RunConfig:
         doc = {key: getattr(self.params, key) for key in PARAM_FIELDS}
         doc["threshold_dist"] = {
             "kind": self.dist.kind,
-            "params": dict(zip(_DIST_PARAMS[self.dist.kind], self.dist.params)),
+            "params": dict(zip(THRESHOLD_PARAMS[self.dist.kind],
+                               self.dist.params)),
         }
         doc["dt"] = self.dt
         doc["horizon"] = self.horizon
@@ -50,12 +45,12 @@ def _parse_dist(block) -> ThresholdDistribution:
     if not isinstance(block, dict):
         raise ConfigError("threshold_dist must be an object")
     kind = block.get("kind")
-    if kind not in _DIST_PARAMS:
+    if kind not in THRESHOLD_PARAMS:
         raise ConfigError(f"unknown threshold_dist kind {kind!r}")
     raw = block.get("params", {})
     if not isinstance(raw, dict):
         raise ConfigError("threshold_dist.params must be an object")
-    expected = _DIST_PARAMS[kind]
+    expected = THRESHOLD_PARAMS[kind]
     unknown = set(raw) - set(expected)
     if unknown:
         raise ConfigError(f"unknown threshold_dist params: {sorted(unknown)}")

@@ -25,6 +25,14 @@ DEFAULT_HORIZON = 1000.0
 DEFAULT_EXTINCTION_EPSILON = 1e-3
 
 
+# parameter names of each threshold distribution kind, in order
+THRESHOLD_PARAMS = {
+    "exponential": ("mean",),
+    "uniform": ("lo", "hi"),
+    "weibull": ("shape", "scale"),
+}
+
+
 @dataclass(frozen=True)
 class ThresholdDistribution:
     """Distribution of source activation thresholds.
@@ -39,26 +47,33 @@ class ThresholdDistribution:
     params: tuple
 
     def __post_init__(self):
+        if self.kind not in THRESHOLD_PARAMS:
+            raise ValueError(
+                f"unknown threshold distribution kind {self.kind!r}")
+        names = THRESHOLD_PARAMS[self.kind]
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.kind} takes {len(names)} parameter(s): "
+                             f"{', '.join(names)}")
         if not all(math.isfinite(v) for v in self.params):
             raise ValueError(
                 f"{self.kind} threshold parameters must be finite")
+        if self.kind == "exponential" and not self.params[0] > 0:
+            raise ValueError("exponential mean must be positive")
+        if self.kind == "uniform" and not self.params[1] > self.params[0]:
+            raise ValueError("uniform requires hi > lo")
+        if self.kind == "weibull" and not min(self.params) > 0:
+            raise ValueError("weibull shape and scale must be positive")
 
     @classmethod
     def exponential(cls, mean: float) -> "ThresholdDistribution":
-        if mean <= 0:
-            raise ValueError("exponential mean must be positive")
         return cls("exponential", (float(mean),))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "ThresholdDistribution":
-        if not hi > lo:
-            raise ValueError("uniform requires hi > lo")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
     def weibull(cls, shape: float, scale: float) -> "ThresholdDistribution":
-        if shape <= 0 or scale <= 0:
-            raise ValueError("weibull shape and scale must be positive")
         return cls("weibull", (float(shape), float(scale)))
 
     def hazard(self, x):
@@ -72,27 +87,25 @@ class ThresholdDistribution:
             with np.errstate(divide="ignore"):
                 interior = 1.0 / (hi - x)
             out = np.where(x < lo, 0.0, np.where(x >= hi, np.inf, interior))
-        elif self.kind == "weibull":
+        else:
             k, s = self.params
             xp = np.maximum(x, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = (k / s) * (xp / s) ** (k - 1.0)
             out = np.where(x < 0, 0.0, h)
-        else:
-            raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """size thresholds as an array, or one as a float when size is None;
+        either way one 64-bit-word draw per threshold."""
         if self.kind == "exponential":
             (m,) = self.params
             return rng.exponential(m, size)
         if self.kind == "uniform":
             lo, hi = self.params
             return rng.uniform(lo, hi, size)
-        if self.kind == "weibull":
-            k, s = self.params
-            return s * rng.weibull(k, size)
-        raise ValueError(f"unknown threshold distribution kind {self.kind!r}")
+        k, s = self.params
+        return s * rng.weibull(k, size)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,44 @@ EVENT_SRC_DEACTIVATE = "src_deactivate"
 
 DEFAULT_EVENT_CAP = 1_000_000
 
+
+def _index_draw(rng: np.random.Generator):
+    """draw(n), the index Generator.integers(n) would return, read from
+    the raw 64-bit words of rng's PCG64 bit generator.
+
+    numpy draws a bounded index below 2**32 from one 32-bit word at a time
+    (Lemire's multiply-and-reject): the word times n, rejected while its
+    low 32 bits fall below (2**32 - n) % n, gives the index in its high
+    32 bits.  PCG64 serves 32-bit words as the low then the high half of a
+    64-bit word, keeping the high half for the next call; draw keeps that
+    spare half itself, and returns 0 for n = 1 without drawing.
+
+    Preconditions: n lies in 1..2**32, and rng is fresh and serves no
+    other 32-bit draws, whose spare half-word would be rng's own and not
+    draw's.  exponential, random and the threshold samplers read whole
+    64-bit words, so they may interleave freely.
+    """
+    raw = rng.bit_generator.random_raw
+    spare = None
+
+    def draw(n: int) -> int:
+        nonlocal spare
+        if n == 1:
+            return 0
+        while True:
+            if spare is None:
+                word = raw()
+                spare = word >> 32
+                word &= 0xFFFFFFFF
+            else:
+                word, spare = spare, None
+            m = word * n
+            if m & 0xFFFFFFFF >= (0x100000000 - n) % n:
+                return m >> 32
+
+    return draw
+
+
 @dataclass
 class SimulationResult:
     """One replication: event log, sampled path and per-node outcome."""
@@ -66,12 +104,18 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     by threshold, so an event costs O(log) lookups plus a list shift
     instead of rescans of every node and source.  Draw i of a set picks its
     i-th smallest member, as a boolean-mask scan would.
+
+    Each event draws its waiting time with rng.exponential, its reaction
+    with rng.random and its member with _index_draw, which returns the
+    index Generator.integers would from the same words; a deactivated
+    source redraws its threshold as a scalar.
     """
     if not 0 <= k_protected <= params.n_nodes:
         raise ValueError("k_protected must lie in 0..n_nodes")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
     rng = default_rng(seed)
+    draw = _index_draw(rng)
 
     n, ns = params.n_nodes, params.n_sources
     x0 = min(int(round(params.x0)), n - k_protected)
@@ -123,7 +167,7 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
         # uniform's argument checks
         u = total * rng.random()
         if u < r_inf:
-            target = susceptible.pop(int(rng.integers(len(susceptible))))
+            target = susceptible.pop(draw(len(susceptible)))
             insort(infected, target)
             ever_infected[target] = True
             cum += 1
@@ -131,19 +175,19 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
                 insort(crossed, heapq.heappop(waiting)[1])
             events.append((t, EVENT_INFECT, target))
         elif u < r_inf + r_cure:
-            target = infected.pop(int(rng.integers(len(infected))))
+            target = infected.pop(draw(len(infected)))
             insort(susceptible, target)
             events.append((t, EVENT_CURE, target))
         elif u < r_inf + r_cure + r_deact:
-            target = active.pop(int(rng.integers(len(active))))
-            redrawn = float(dist.sample(rng, 1)[0])
+            target = active.pop(draw(len(active)))
+            redrawn = dist.sample(rng)
             if redrawn <= cum:
                 insort(crossed, target)
             else:
                 heapq.heappush(waiting, (redrawn, target))
             events.append((t, EVENT_SRC_DEACTIVATE, target))
         else:
-            target = crossed.pop(int(rng.integers(len(crossed))))
+            target = crossed.pop(draw(len(crossed)))
             insort(active, target)
             events.append((t, EVENT_SRC_ACTIVATE, target))
 
@@ -198,6 +242,8 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
                        k_protected: int, n_reps: int, seed,
                        horizon: float, dt: float):
     """Replication-mean infected count on a uniform grid (the ODE check)."""
+    if n_reps < 1:
+        raise ValueError("need at least 1 replication")
     t_grid = np.arange(step_count(horizon, dt) + 1) * dt
     acc = np.zeros_like(t_grid)
     truncated = 0

@@ -203,6 +203,13 @@ class TestOracle:
                      "--seed", "1", "--out", str(tmp_path / "o")])
         assert code != 0
 
+    def test_negative_seed_exits_one(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", config_path, "--reps", "100",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert "error: --seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_dump_config_round_trip(self, config_path, capsys):

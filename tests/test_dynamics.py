@@ -54,6 +54,18 @@ class TestThresholdDistribution:
             with pytest.raises(ValueError):
                 make()
 
+    # direct construction refuses what the classmethods refuse
+    @pytest.mark.parametrize("kind, params, message", [
+        ("exponential", (-1.0,), "mean must be positive"),
+        ("uniform", (5.0, 1.0), "requires hi > lo"),
+        ("weibull", (0.0, 1.0), "shape and scale must be positive"),
+        ("gamma", (1.0,), "unknown threshold distribution kind 'gamma'"),
+        ("exponential", (1.0, 2.0), "exponential takes 1 parameter"),
+    ])
+    def test_direct_construction_refused(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            ThresholdDistribution(kind, params)
+
 
 class TestSystemParams:
     def test_rejects_negative_rate(self):

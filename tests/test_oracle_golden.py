@@ -5,7 +5,9 @@ matrix and compared with a recorded SHA-256.  The digests pin the exact
 event sequence a seed produces, so any change to the order of RNG draws,
 to how a draw maps to a node or source, or to the float expression of a
 rate shows up here.  A plain rescanning implementation of the same chain
-serves as the reference on a wider set of random cases.
+serves as the reference on a wider set of random cases; it draws its
+indices with ``Generator.integers``, against which the oracle's own index
+draw is also checked directly.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 from virusgame.dynamics import SystemParams, ThresholdDistribution
 from virusgame.oracle import (DEFAULT_EVENT_CAP, EVENT_CURE, EVENT_INFECT,
                               EVENT_SRC_ACTIVATE, EVENT_SRC_DEACTIVATE,
-                              SimulationResult, simulate_ctmc)
+                              SimulationResult, _index_draw, simulate_ctmc)
 
 BASE = SystemParams(n_nodes=30, n_sources=10, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -194,3 +196,39 @@ def test_matches_rescanning_reference():
         params, dist, k, seed, horizon, cap = case
         got = simulate_ctmc(params, dist, k, seed, horizon, event_cap=cap)
         assert _digest(got) == _digest(reference_ctmc(*case)), case
+
+
+# 1 draws nothing; 3 * 2**30 rejects a quarter of its words; 2**32 takes a
+# word as it is
+INDEX_BOUNDS = [1, 2, 3, 5, 64, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1,
+                2**32]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_index_draw_matches_generator_integers(seed):
+    pick = random.Random(seed)
+    for rep in range(4):
+        mine = np.random.default_rng([seed, rep])
+        ref = np.random.default_rng([seed, rep])
+        draw = _index_draw(mine)
+        for _ in range(1500):
+            n = pick.choice(INDEX_BOUNDS)
+            assert draw(n) == ref.integers(n), (seed, rep, n)
+            # 64-bit-word draws in between leave the spare half-word alone
+            other = pick.randrange(6)
+            if other == 0:
+                assert mine.random() == ref.random()
+            elif other == 1:
+                assert mine.exponential(2.5) == ref.exponential(2.5)
+            elif other in (2, 3, 4):
+                dist = (EXP3, UNIF, WEIB)[other - 2]
+                assert dist.sample(mine) == dist.sample(ref)
+
+
+@pytest.mark.parametrize("dist", [EXP3, UNIF, WEIB], ids=lambda d: d.kind)
+def test_scalar_threshold_sample_matches_array_sample(dist):
+    scalar, array = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(200):
+        got = dist.sample(scalar)
+        assert type(got) is float
+        assert got == dist.sample(array, 1)[0]

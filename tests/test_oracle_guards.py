@@ -99,3 +99,9 @@ def test_mean_path_refuses_horizon_not_whole_steps():
     with pytest.raises(ValueError, match="whole number of steps"):
         oracle.mean_infected_path(SMALL, EXP100, 0, n_reps=1, seed=0,
                                   horizon=1.0, dt=0.3)
+
+
+def test_mean_path_refuses_no_replications():
+    with pytest.raises(ValueError, match="at least 1 replication"):
+        oracle.mean_infected_path(SMALL, EXP100, 0, n_reps=0, seed=0,
+                                  horizon=1.0, dt=0.5)
