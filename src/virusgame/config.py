@@ -45,7 +45,7 @@ def _parse_dist(block) -> ThresholdDistribution:
     if not isinstance(block, dict):
         raise ConfigError("threshold_dist must be an object")
     kind = block.get("kind")
-    if kind not in THRESHOLD_PARAMS:
+    if not isinstance(kind, str) or kind not in THRESHOLD_PARAMS:
         raise ConfigError(f"unknown threshold_dist kind {kind!r}")
     raw = block.get("params", {})
     if not isinstance(raw, dict):

@@ -2,8 +2,9 @@
 
 All solvers work off the indifference gap D(k) = I_c * P_i(k) - U_c over a
 complete risk table.  Mixed equilibria are roots of a Bernstein-form
-polynomial in the activation probability; since the gap is nonincreasing
-the polynomial is monotone and plain bisection is unconditionally safe.
+polynomial in the activation probability.  The solver checks that the gap
+is nonincreasing, which makes the polynomial monotone, so bisection finds
+its one root.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .risk import risk_profile
 RESIDUAL_TOL = 1e-9
 INTERVAL_TOL = 1e-12
 _SCAN_POINTS = 1000
-_SCAN_BLOCK = 64  # grid rows per _binom_pmf call; bounds the weight matrix
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,16 @@ EquilibriumResult = Union[Pure, FullyMixed, MixerProfile, NoInteriorEquilibrium]
 
 def gap_table(risk: np.ndarray, params: SystemParams) -> np.ndarray:
     """Indifference gap I_c * P_i(k) - U_c over the whole risk table:
-    positive where a non-updater facing k updaters would rather update."""
-    return params.infection_cost * np.asarray(risk, dtype=float) - params.update_cost
+    positive where a non-updater facing k updaters would rather update.
+
+    The table must cover k = 0..N with finite entries."""
+    risk = np.asarray(risk, dtype=float)
+    if len(risk) < params.n_nodes + 1:
+        raise ValueError("risk table must cover k = 0..N")
+    bad = np.flatnonzero(~np.isfinite(risk))
+    if bad.size:
+        raise ValueError(f"risk table entry at k={bad[0]} is not finite")
+    return params.infection_cost * risk - params.update_cost
 
 
 def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
@@ -69,8 +77,6 @@ def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
     boundaries use only the applicable condition.
     """
     n = params.n_nodes
-    if len(risk) < n + 1:
-        raise ValueError("risk table must cover k = 0..N")
     gap = gap_table(risk, params)
     hits = [k for k in range(n + 1)
             if (k == 0 or gap[k - 1] >= 0) and (k == n or gap[k] <= 0)]
@@ -91,8 +97,8 @@ def _log_choose(m: int) -> np.ndarray:
     Each C(m, k) is an exact integer (C(m, k+1) = C(m, k)(m-k)/(k+1)), so
     each log is rounded once; differences of lgamma values near
     lgamma(m+1) would carry that term's rounding into every weight of the
-    row.  Cached because one bisection asks for the same m about forty
-    times."""
+    row.  Cached because one solve asks for the same m about fifty times
+    (about ten grid probes, then about forty bisection steps)."""
     row = np.empty(m + 1)
     c = 1
     for k in range(m + 1):
@@ -121,20 +127,15 @@ def _bernstein_gap(gap: np.ndarray, p: float) -> float:
     return float(_binom_pmf(len(gap) - 1, p) @ gap)
 
 
-def _bernstein_scan(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """_bernstein_gap at every p of grid, in blocks of _SCAN_BLOCK rows.
-
-    A block's matrix product may round differently from the one-p dot
-    product in the last bits; the scan only reads the signs."""
-    m = len(gap) - 1
-    return np.concatenate([
-        _binom_pmf(m, grid[lo:lo + _SCAN_BLOCK, None]) @ gap
-        for lo in range(0, len(grid), _SCAN_BLOCK)])
-
-
 def _solve_bernstein(gap: np.ndarray):
-    """Root of the monotone Bernstein polynomial; returns (p, residual) or a
-    NoInteriorEquilibrium when the gap has one sign at both ends."""
+    """Root of the expected-gap polynomial; returns (p, residual) or a
+    NoInteriorEquilibrium when the gap has one sign at both ends.
+
+    The polynomial's derivative is m * sum_k (gap[k+1] - gap[k]) *
+    B_{k,m-1}(p) (Lorentz 1953), so a nonincreasing gap table gives a
+    nonincreasing polynomial; a table that rises anywhere is refused.  A
+    binary search finds the first point of a _SCAN_POINTS grid where the
+    polynomial is <= 0, and bisection narrows that cell to the root."""
     f0 = _bernstein_gap(gap, 0.0)
     f1 = _bernstein_gap(gap, 1.0)
     if f0 <= 0:
@@ -145,27 +146,29 @@ def _solve_bernstein(gap: np.ndarray):
         return NoInteriorEquilibrium(
             1, reason=f"expected gap at p=1 is {f1:.6g} >= 0: updating "
             "pays even when everybody else updates")
+    rises = np.flatnonzero(np.diff(gap) > 0)
+    if rises.size:
+        k = int(rises[0]) + 1
+        raise RuntimeError(
+            "expected-gap polynomial is not monotone: the gap table rises, "
+            f"gap[{k}] > gap[{k - 1}]")
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    vals = _bernstein_scan(gap, grid)
-    neg_seen = False
-    for v in vals:
-        if v < 0:
-            neg_seen = True
-        elif v > 0 and neg_seen:
-            raise RuntimeError(
-                "expected-gap polynomial is not monotone (sign pattern -,+)")
-
-    idx = int(np.nonzero(vals <= 0)[0][0])
-    lo, hi = grid[idx - 1], grid[idx]
-    flo = vals[idx - 1]
+    i, j = 0, len(grid) - 1  # gap > 0 at grid[i], <= 0 at grid[j]
+    while j - i > 1:
+        mid = (i + j) // 2
+        if _bernstein_gap(gap, grid[mid]) > 0:
+            i = mid
+        else:
+            j = mid
+    lo, hi = grid[i], grid[j]
     while hi - lo > INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
         fm = _bernstein_gap(gap, mid)
         if abs(fm) <= RESIDUAL_TOL:
             return float(mid), fm
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if fm > 0:
+            lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
@@ -174,11 +177,8 @@ def _solve_bernstein(gap: np.ndarray):
 
 def mixed_ne(risk: np.ndarray, params: SystemParams) -> EquilibriumResult:
     """Symmetric fully mixed equilibrium activation probability."""
-    n = params.n_nodes
-    if len(risk) < n + 1:
-        raise ValueError("risk table must cover k = 0..N")
-    gap = gap_table(risk, params)[:n]  # k = 0..N-1 opponents updating
-    sol = _solve_bernstein(gap)
+    # a focal node faces k = 0..N-1 updating opponents
+    sol = _solve_bernstein(gap_table(risk, params)[:params.n_nodes])
     if isinstance(sol, NoInteriorEquilibrium):
         return sol
     p, res = sol
@@ -192,8 +192,7 @@ def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
     n = params.n_nodes
     if n_u < 0 or n_nu < 0 or n_u + n_nu > n:
         raise ValueError("require n_u, n_nu >= 0 and n_u + n_nu <= N")
-    if len(risk) < n + 1:
-        raise ValueError("risk table must cover k = 0..N")
+    full_gap = gap_table(risk, params)
 
     psi = pure_ne(risk, params).psi
     if n_u >= psi:
@@ -206,19 +205,15 @@ def mixer_nonmixer_ne(n_u: int, n_nu: int, risk: np.ndarray,
             "fewer than two mixers")
 
     m = n - n_u - n_nu  # mixers
-    gap = gap_table(risk, params)[n_u:n_u + m]  # focal mixer vs m-1 opponents
-    sol = _solve_bernstein(gap)
+    sol = _solve_bernstein(full_gap[n_u:n_u + m])  # focal mixer, m-1 opponents
     if isinstance(sol, NoInteriorEquilibrium):
         return sol
     p, res = sol
 
     # stability of the committed updaters: switching to mix must not pay,
     # i.e. the expected gap seen by a deviating pure-U player stays >= 0
-    violation = False
-    if n_u > 0:
-        full_gap = gap_table(risk, params)
-        dev = float(_binom_pmf(m, p) @ full_gap[n_u - 1:n_u + m])
-        violation = dev < -RESIDUAL_TOL
+    violation = (n_u > 0 and
+                 _bernstein_gap(full_gap[n_u - 1:n_u + m], p) < -RESIDUAL_TOL)
     return MixerProfile(n_u=n_u, n_nu=n_nu, p_star=p, residual=res,
                         stability_violation=violation)
 

@@ -28,6 +28,9 @@ SMALL_CONFIG = {
     {"n_sources": 10.5},
     {"n_nodes": math.nan},
     {"n_sources": math.inf},
+    {"threshold_dist": {"kind": ["exponential"]}},
+    {"threshold_dist": {"kind": {"exponential": True}}},
+    {"threshold_dist": {"kind": 1}},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_settings_refused(override):
     with pytest.raises(ConfigError):

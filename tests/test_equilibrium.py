@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ EXP100 = ThresholdDistribution.exponential(100.0)
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
                     x0=0.0, s0=5.0, infection_cost=1.0, update_cost=0.1)
+
+SECTION_IV = SystemParams(n_nodes=500, n_sources=50, beta=1e-4, gamma=1e-3,
+                          delta=0.1, delta_s=0.1, lambda_influence=1e-4,
+                          x0=0.0, s0=10.0, infection_cost=1.0, update_cost=0.1)
 
 
 def small_params(**overrides):
@@ -198,14 +203,25 @@ class TestMixedNE:
         signs = np.sign(vals[vals != 0.0])
         assert (np.diff(signs) != 0).sum() == 1
 
-    def test_blocked_scan_signs_match_per_p_scan(self):
-        grid = np.linspace(0.0, 1.0, 1000)
-        real = gap_table(risk_profile(FIG3, EXP100), FIG3)[:FIG3.n_nodes]
-        for gaps in (real, np.array([0.3, 0.1, -0.1, -0.3, -0.5]),
-                     np.array([0.2])):
-            blocked = eq._bernstein_scan(gaps, grid)
-            per_p = [eq._bernstein_gap(gaps, p) for p in grid]
-            assert np.array_equal(np.sign(blocked), np.sign(per_p))
+    def test_root_in_first_nonpositive_cell_of_dense_scan(self):
+        """The binary search picks the cell the 1000-point scan would."""
+        rng = np.random.default_rng(20261018)
+        solved = 0
+        while solved < 200:
+            n = int(rng.integers(2, 81))
+            gaps = np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+            if rng.random() < 0.5:
+                gaps = np.round(gaps, 1)  # flat runs: ties in the table
+            if not gaps[0] > 0 > gaps[-1]:
+                continue
+            params = small_params(n_nodes=n)
+            risk = table_for_gaps(gaps, 0.5)
+            result = eq.mixed_ne(risk, params)
+            assert isinstance(result, eq.FullyMixed)
+            p_grid, vals = bernstein_scan(gap_table(risk, params)[:n], 1000)
+            idx = int(np.flatnonzero(vals <= 0)[0])
+            assert p_grid[idx - 1] <= result.p_star <= p_grid[idx], gaps
+            solved += 1
 
     def test_boundary_reasons_give_gap_sign(self):
         up = eq.mixed_ne(np.full(6, 0.4), small_params(update_cost=0.1))
@@ -220,12 +236,55 @@ class TestMixedNE:
         with pytest.raises(RuntimeError, match="not monotone"):
             eq.mixed_ne(table_for_gaps(gaps, 0.5), params)
 
+    def test_rising_table_with_interior_root_refused(self):
+        # the polynomial still changes sign once, but the table rises at k=2
+        gaps = np.array([0.3, 0.1, 0.11, -0.3, -0.5])
+        with pytest.raises(RuntimeError, match=r"gap\[2\] > gap\[1\]"):
+            eq.mixed_ne(table_for_gaps(gaps, 0.5), small_params())
+
     def test_residual_tolerance_met_on_real_table(self):
         risk = risk_profile(FIG3, EXP100)
         result = eq.mixed_ne(risk, FIG3)
         assert isinstance(result, eq.FullyMixed)
         assert abs(result.residual) <= 1e-9
         assert 0.0 < result.p_star < 1.0
+
+
+@pytest.mark.parametrize("solve", [
+    eq.pure_ne, eq.mixed_ne, partial(eq.mixer_nonmixer_ne, 0, 0)],
+    ids=["pure", "mixed", "mixer"])
+def test_non_finite_risk_refused(solve):
+    risk = np.array([0.9, np.nan, 0.5, 0.4, 0.3, 0.0])
+    with pytest.raises(ValueError, match="k=1 is not finite"):
+        solve(risk, small_params())
+
+
+# float.hex of (p_star, residual), recorded with the solver that scanned all
+# 1000 grid points; the binary search over the same grid must match them
+SOLVER_GOLDEN = {
+    "fig3_mixed": ("0x1.e697c27f9d990p-2", "-0x1.bda0bee6e0000p-31"),
+    "section_iv_n200_h200_mixed":
+        ("0x1.7dad097b425ecp-1", "-0x1.f66d93d1fe889p-39"),
+    "fig3_cost0.08_mixer_5_10":
+        ("0x1.4cfe0419a028ep-1", "0x1.e508ae82bff0cp-34"),
+}
+
+
+def _solver_case(name):
+    if name == "fig3_mixed":
+        return eq.mixed_ne(risk_profile(FIG3, EXP100), FIG3)
+    if name == "section_iv_n200_h200_mixed":
+        params = dataclasses.replace(SECTION_IV, n_nodes=200)
+        return eq.mixed_ne(risk_profile(params, EXP100, horizon=200.0),
+                           params)
+    params = dataclasses.replace(FIG3, update_cost=0.08)
+    return eq.mixer_nonmixer_ne(5, 10, risk_profile(params, EXP100), params)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_GOLDEN))
+def test_solver_bits_are_pinned(name):
+    result = _solver_case(name)
+    assert (result.p_star.hex(), result.residual.hex()) == SOLVER_GOLDEN[name]
 
 
 class TestMixerNonMixer:

@@ -336,12 +336,15 @@ def test_matches_per_step_reference():
 
 # CSV bytes written from integrate's trajectories: the builtin sweeps that
 # record trajectories or read one (fig4_sources is fig3_infection under
-# another name), and `virusgame simulate` at a fractional protection count
+# another name), and `virusgame simulate` at a fractional protection count;
+# fig8_pstar_vs_cost pins the mixed solver's p* on the Section IV table
 SWEEP_CSV_GOLDEN = {
     "fig3_infection":
         "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",
     "fig5_infection_prob":
         "8a944f3815627104708ab1594e9eb058452af41a95b2d92d4b24f77577520592",
+    "fig8_pstar_vs_cost":
+        "41aba8026a5a8b7276db97ac08091e16fbec8330cf68f10fad7ccd0978f21af0",
     "fig9_x_vs_cost":
         "2096f9fb6e85136a521068fc82374978fb0aa7cfd464bd4bdbdfa882620ef29b",
 }
