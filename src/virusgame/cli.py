@@ -159,7 +159,7 @@ def _load_spec(ref: str) -> ExperimentSpec:
         spec = ExperimentSpec(
             name=doc["name"], base=cfg.params, dist=cfg.dist,
             sweep=(param, values), outputs=tuple(doc["outputs"]), dt=cfg.dt,
-            horizon=cfg.horizon)
+            horizon=cfg.horizon, extinction_epsilon=cfg.extinction_epsilon)
         for value in values:  # refuse a bad point now, not mid-run
             _apply_sweep(cfg.params, param, value)
         return spec

@@ -188,11 +188,23 @@ def step_count(horizon: float, dt: float) -> int:
     return n_steps
 
 
+def check_epsilon(extinction_epsilon: float) -> None:
+    """Refuse an extinction epsilon that is not finite and positive."""
+    if not 0.0 < extinction_epsilon < math.inf:
+        raise ValueError(f"extinction_epsilon must be finite and positive, "
+                         f"got {extinction_epsilon!r}")
+
+
 def _constant_hazard(dist: ThresholdDistribution) -> Optional[float]:
     """The hazard wherever x_bar >= 0 if it is a finite constant there
     (exponential thresholds: 1/mean), else None."""
     h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
     return h if math.isfinite(h) else None
+
+
+class _SourceSplit(Exception):
+    """A stage saw some x_bar < 0, where the hazard is 0, not the constant
+    the shared source steps with."""
 
 
 class _Stepper:
@@ -206,6 +218,13 @@ class _Stepper:
     x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
     hazard keeps the last finite value ``c.h_last`` and sets
     ``c.saturated``.
+
+    A constant hazard leaves ds/dt = -delta_s*s + (lambda*h)*(n_s - s)
+    reading neither x nor k, so columns with the same source constants
+    carry one s.  When every column does, s steps as a Python float and
+    only the rows (x, x_bar) as arrays, until a stage with some x_bar < 0
+    (a zero hazard there) splits the source; the block is then redone, and
+    the rest of the call run, with a source per column.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
@@ -213,25 +232,42 @@ class _Stepper:
         self.dist = dist
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
         self.h_exp = _constant_hazard(dist)
+        src = np.array([c.n_sources, c.delta_s, c.lambda_influence, c.s0])
+        bits = src.view(np.int64)
+        self.shared = self.h_exp is not None and (bits == bits[:, :1]).all()
+        if self.shared:  # -delta_s, lambda*h and n_s as floats
+            n_s, delta_s, lam = src[:3, 0].tolist()
+            self.source = (-delta_s, lam * self.h_exp, n_s)
         c.h_last, c.saturated = np.zeros(len(c.k)), np.zeros(len(c.k), bool)
         self.keep(c, slice(None))
 
     def keep(self, c: SimpleNamespace, mask) -> None:
         """Run the columns of c (constants, hazard state) where mask holds."""
         self.c = c = SimpleNamespace(**{k: v[mask] for k, v in vars(c).items()})
-        n = len(c.k)
+        n, m = len(c.k), 2 if self.shared else 3  # state rows in arrays
         self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
         self.caps = np.array([c.n_nodes - c.k, c.n_sources])
-        self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0), c.n_sources])
+        # bounds of the clipped rows: x, and s where it is per column
+        self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0),
+                            c.n_sources])[:m - 1]
         self.h_const = np.full(n, self.h_exp or 0.0)
         self.lam_h = c.lambda_influence * self.h_const
         self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
-        self.lamh, self.stage = np.empty(n), np.empty((3, n))
+        self.lamh, self.stage = np.empty(n), np.empty((m, n))
         self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
                       self.room[0], self.room[1])
-        # derivatives (dx, ds, dx_bar, activation term) and views into them
-        self.k1, self.kj = (
-            (d[:3], d[2], d[3], d[2:], d[:2]) for d in np.empty((2, 4, n)))
+        if self.shared:
+            c.h_last, self.rhs = self.h_const, self._rhs_shared
+            # beta, gamma, -delta and N - k
+            self.x_rates = (*self.rates[0], self.rates[1, 0], self.caps[0])
+            # derivatives (dx, dx_bar = force) of the rows (x, x_bar)
+            self.k1, self.kj = ((d, d[0], d[1]) for d in np.empty((2, 2, n)))
+        else:
+            self.rhs = self._rhs
+            # derivatives (dx, ds, dx_bar = force, activation term) and
+            # views into them
+            self.k1, self.kj = ((d[:3], d[2], d[3], d[2:], d[:2])
+                                for d in np.empty((2, 4, n)))
 
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
         if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
@@ -245,43 +281,83 @@ class _Stepper:
         self.c.h_last = h
         return np.multiply(self.c.lambda_influence, h, out=self.lamh)
 
-    def _rhs(self, xs: np.ndarray, x_bar: np.ndarray, d: tuple) -> None:
-        """d = (dx, ds, dx_bar = force) at (x, s) = xs and x_bar, where
+    def _rhs(self, y: np.ndarray, s: float, d: tuple) -> float:
+        """d = (dx, ds, dx_bar = force) at the state y, where
         force = (beta*x + gamma*s) * max(N-k-x, 0), dx = -delta*x + force
-        and ds = -delta_s*s + (lambda*h)*(n_s-s)."""
+        and ds = -delta_s*s + (lambda*h)*(n_s-s); s is per column, so the
+        float source s stays 0.0."""
         _, force, act, tail, head = d
         bx, gs, decay, pool, free_s = self.views
+        xs = y[:2]
         np.multiply(self.rates, xs, out=self.prod)  # [[bx, gs], decay]
         np.subtract(self.caps, xs, out=self.room)  # [N - k - x, n_s - s]
         np.maximum(pool, 0.0, out=pool)
         np.add(bx, gs, out=force)
         np.multiply(force, pool, out=force)
-        np.multiply(self._lam_hazard(x_bar), free_s, out=act)
+        np.multiply(self._lam_hazard(y[2]), free_s, out=act)
         np.add(decay, tail, out=head)
+        return 0.0
 
-    def step(self, y0: np.ndarray, out: np.ndarray) -> None:
-        """Write the clipped state one step after y0 into out."""
+    def _rhs_shared(self, y: np.ndarray, s: float, d: tuple) -> float:
+        """d = (dx, force) as in ``_rhs`` at the rows y = (x, x_bar) and the
+        shared source s; returns ds."""
+        x, x_bar = y
+        if not x_bar.min() >= 0.0:
+            raise _SourceSplit
+        _, dx, force = d
+        _, gs, _, pool, _ = self.views
+        beta, gamma, neg_delta, cap = self.x_rates
+        np.multiply(beta, x, out=force)
+        np.multiply(gamma, s, out=gs)
+        np.add(force, gs, out=force)
+        np.subtract(cap, x, out=pool)
+        np.maximum(pool, 0.0, out=pool)
+        np.multiply(force, pool, out=force)
+        np.multiply(neg_delta, x, out=dx)
+        np.add(dx, force, out=dx)
+        neg_delta_s, lam_h, n_s = self.source
+        return neg_delta_s * s + lam_h * (n_s - s)
+
+    def step(self, y0: np.ndarray, out: np.ndarray, s: float) -> float:
+        """Write the clipped rows one step after y0 into out and return the
+        shared source one step after s."""
         y, acc, d = self.stage, self.k1[0], self.kj[0]
-        self._rhs(y0[:2], y0[2], self.k1)
+        b_acc = b = self.rhs(y0, s, self.k1)
         k = acc                                 # k1, then k2 and k3
-        for c, w in ((self.half, 2.0), (self.half, 2.0), (self.dt, None)):
+        for c, w in ((self.half, 2.0), (self.half, 2.0), (self.dt, 1.0)):
             np.multiply(k, c, out=y)
             np.add(y0, y, out=y)
-            self._rhs(y[:2], y[2], self.kj)     # k2, k3, k4
+            b = self.rhs(y, s + b * c, self.kj)  # k2, k3, k4
             # acc = ((k1 + 2k2) + 2k3) + k4
-            np.add(acc, d if w is None else np.multiply(d, w, out=y), out=acc)
-            k = d
+            np.add(acc, d if w == 1.0 else np.multiply(d, w, out=y), out=acc)
+            b_acc, k = b_acc + b * w, d
         np.multiply(acc, self.sixth, out=acc)
         np.add(y0, acc, out=out)
-        np.clip(out[:2], 0.0, self.hi, out=out[:2])
+        # np.clip's bits (NaN stays, -0.0 becomes 0.0) in two cheaper calls
+        ends = out[:len(self.hi)]
+        np.maximum(ends, 0.0, out=ends)
+        np.minimum(ends, self.hi, out=ends)
+        s = s + b_acc * self.sixth
+        return 0.0 if s <= 0.0 else min(s, self.source[2])
 
     def advance(self, states: np.ndarray, i0: int) -> None:
-        """Step states[:, 0] into states[:, 1:] (steps i0+1, i0+2, ...);
-        raise RuntimeError at the first state that is not finite."""
-        for j in range(1, states.shape[1]):
-            self.step(states[:, j - 1], states[:, j])
-        if not np.isfinite(states[:, 1:]).all():
-            j, col = np.argwhere(~np.isfinite(states[:, 1:]).all(axis=0))[0]
+        """Step states[0] into states[1:] (steps i0+1, i0+2, ...); raise
+        RuntimeError at the first state that is not finite."""
+        if self.shared:
+            try:
+                path = [float(states[0, 1, 0])]
+                for j in range(1, len(states)):
+                    path.append(self.step(states[j - 1, ::2],
+                                          states[j, ::2], path[-1]))
+                states[1:, 1] = np.array(path[1:])[:, None]
+            except _SourceSplit:  # redo the block, a source per column
+                self.shared = False
+                self.keep(self.c, slice(None))
+        if not self.shared:
+            for j in range(1, len(states)):
+                self.step(states[j - 1], states[j], 0.0)
+        if not np.isfinite(states[1:]).all():
+            j, col = np.argwhere(~np.isfinite(states[1:]).all(axis=1))[0]
             i = i0 + 1 + j
             raise RuntimeError(
                 f"non-finite state at step {i} (t={i * self.dt:g}) for "
@@ -304,6 +380,7 @@ def integrate(params: SystemParams, k_protected: float,
     the clip keeps the sign of a zero as ``np.clip`` does with scalar
     bounds."""
     n_steps = step_count(horizon, dt)
+    check_epsilon(extinction_epsilon)
     k = float(k_protected)
     if not 0.0 <= k <= params.n_nodes:
         raise ValueError("k_protected must lie in [0, n_nodes]")
@@ -414,10 +491,9 @@ def _stoppable(c: SimpleNamespace, x, s, h_now, cand_t, eps) -> np.ndarray:
     return ~np.isin(c.table, c.table[~ok])
 
 
-# slots of the batch block buffer (_SLOTS, steps + 1, columns): the state
-# (x, s, x_bar), g = beta*x + gamma*s and the running trapezoid of g; row 0
-# holds the values after the previous block
-_X, _S, _G, _CUM, _SLOTS = 0, 1, 3, 4, 5
+# floats a batch block holds per column and step: the state (x, s, x_bar),
+# g = beta*x + gamma*s and the running trapezoid of g
+_SLOTS = 5
 
 
 def batch_extinction_stats(params, k_values: np.ndarray,
@@ -439,7 +515,12 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     a call of its own.
     """
     n_steps = step_count(horizon, dt)
-    c = _column_constants(params, np.asarray(k_values, dtype=float))
+    check_epsilon(extinction_epsilon)
+    k_values = np.asarray(k_values, dtype=float)
+    if k_values.ndim != 1:
+        raise ValueError(f"k_values must be one-dimensional, got shape "
+                         f"{k_values.shape}")
+    c = _column_constants(params, k_values)
     n_cols = len(c.k)
     eps = extinction_epsilon
     stepper = _Stepper(c, dist, dt)
@@ -447,22 +528,26 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     # steps per block: the largest divisor of _STOP_EVERY whose buffer fits
     rows = next(b for b in (50, 25, 10, 5, 2, 1)
                 if (b + 1) * _SLOTS * 8 * n_cols <= _BLOCK_BYTES or b == 1)
-    buf = np.empty((_SLOTS, rows + 1, n_cols))
-    buf[:, 0] = (c.x0, c.s0, c.x0, c.beta * c.x0 + c.gamma * c.s0,
-                 np.zeros(n_cols))
+    # row 0 holds the values after the previous block; the state is stored
+    # by step, as _Stepper steps it, and g and its trapezoid by slot, so no
+    # operation reads and writes overlapping memory
+    states = np.empty((rows + 1, 3, n_cols))
+    book = np.empty((2, rows + 1, n_cols))
+    states[0] = c.x0, c.s0, c.x0
+    book[:, 0] = c.beta * c.x0 + c.gamma * c.s0, np.zeros(n_cols)
     run_max = c.x0.copy()
     # extinction candidates and results, for every column
     cand_t = np.where(c.x0 <= eps, 0.0, np.nan)
     cand_h, saturated = cand_t.copy(), np.zeros(n_cols, dtype=bool)
     for i0 in range(0, n_steps, rows):
         b = min(rows, n_steps - i0)
-        stepper.advance(buf[:_G, :b + 1], i0)
+        stepper.advance(states[:b + 1], i0)
         c = stepper.c
-        x, g, run = buf[_X, 1:b + 1], buf[_G, :b + 1], buf[_CUM, :b + 1]
+        x, g, run = states[1:b + 1, 0], book[0, :b + 1], book[1, :b + 1]
         # trapezoid, summed step by step (row 0 holds the sum so far):
         # cum_i = cum_{i-1} + 0.5*dt*(g_{i-1} + g_i)
         np.multiply(c.beta, x, out=g[1:])
-        np.multiply(c.gamma, buf[_S, 1:b + 1], out=run[1:])
+        np.multiply(c.gamma, states[1:b + 1, 1], out=run[1:])
         np.add(g[1:], run[1:], out=g[1:])
         np.add(g[:-1], g[1:], out=run[1:])
         np.multiply(0.5 * dt, run[1:], out=run[1:])
@@ -485,20 +570,21 @@ def batch_extinction_stats(params, k_values: np.ndarray,
             first, w = np.argmax(hit, axis=0)[found], w[found]
             cand_t[c.col[w]] = (i0 + 1 + first) * dt
             cand_h[c.col[w]] = run[first + 1, w]
-        buf[:, 0] = buf[:, b]
+        states[0], book[:, 0] = states[b], book[:, b]
 
         if (i0 + b) % _STOP_EVERY == 0:
-            done = _stoppable(c, buf[_X, 0], buf[_S, 0], c.h_last,
+            done = _stoppable(c, states[0, 0], states[0, 1], c.h_last,
                               cand_t[c.col], eps)
             if done.any():
                 saturated[c.col[done]] = c.saturated[done]
                 stepper.keep(c, ~done)
-                buf, run_max = buf[:, :, ~done], run_max[~done]
+                states, book = states[:, :, ~done], book[:, :, ~done]
+                run_max = run_max[~done]
                 if done.all():
                     break
 
     c = stepper.c
     saturated[c.col] = c.saturated
     late = np.isnan(cand_t)
-    cand_h[c.col] = np.where(late[c.col], buf[_CUM, 0], cand_h[c.col])
+    cand_h[c.col] = np.where(late[c.col], book[1, 0], cand_h[c.col])
     return np.where(late, horizon, cand_t), cand_h, late, saturated

@@ -16,8 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_HORIZON,
-                       SystemParams, ThresholdDistribution)
+from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
+                       DEFAULT_HORIZON, SystemParams, ThresholdDistribution)
 from .risk import risk_profile
 
 RESIDUAL_TOL = 1e-9
@@ -240,11 +240,14 @@ def cost_gain(p_star: float) -> float:
 def critical_update_cost(params: SystemParams,
                          dist: ThresholdDistribution = DEFAULT_DIST,
                          horizon: float = DEFAULT_HORIZON,
-                         dt: float = DEFAULT_DT) -> float:
+                         dt: float = DEFAULT_DT,
+                         extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
+                         ) -> float:
     """Smallest update cost at which nobody is willing to update.
 
     The mixed solver hits the nobody-updates boundary exactly when the gap
     at zero updaters is nonpositive, so the critical cost is I_c * P_i(0).
     """
-    risk = risk_profile(params, dist, horizon=horizon, dt=dt)
+    risk = risk_profile(params, dist, horizon=horizon, dt=dt,
+                        extinction_epsilon=extinction_epsilon)
     return params.infection_cost * float(risk[0])

@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import equilibrium as eq
-from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_HORIZON,
-                       DEFAULT_PARAMS, PARAM_FIELDS, SystemParams,
-                       ThresholdDistribution, Trajectory, integrate)
+from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
+                       DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
+                       SystemParams, ThresholdDistribution, Trajectory,
+                       check_epsilon, integrate)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
 
@@ -42,6 +43,7 @@ class ExperimentSpec:
     outputs: Tuple[str, ...]
     dt: float = DEFAULT_DT
     horizon: float = DEFAULT_HORIZON
+    extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
 
     def __post_init__(self):
         # the name becomes a file name inside the output directory
@@ -58,6 +60,7 @@ class ExperimentSpec:
         for out in self.outputs:
             if out not in _VALID_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}")
+        check_epsilon(self.extinction_epsilon)
 
 
 def _fmt(value) -> str:
@@ -93,9 +96,13 @@ def _needs_table(spec: ExperimentSpec) -> bool:
             or any(o in _EQUILIBRIUM_OUTPUTS for o in spec.outputs))
 
 
+def _table(spec: ExperimentSpec, params: SystemParams) -> np.ndarray:
+    return risk_profile(params, spec.dist, horizon=spec.horizon, dt=spec.dt,
+                        extinction_epsilon=spec.extinction_epsilon)
+
+
 def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
-    table = risk_profile(params, spec.dist, horizon=spec.horizon, dt=spec.dt)
-    result = eq.mixed_ne(table, params)
+    result = eq.mixed_ne(_table(spec, params), params)
     if isinstance(result, eq.NoInteriorEquilibrium):
         return float(result.boundary)
     return result.p_star
@@ -114,7 +121,9 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
     traj: Optional[Trajectory] = None
     if any(o in ("trajectory", "infection_probability", "t_f")
            for o in spec.outputs):
-        traj = integrate(params, k, spec.dist, horizon=spec.horizon, dt=spec.dt)
+        traj = integrate(params, k, spec.dist, horizon=spec.horizon,
+                         dt=spec.dt,
+                         extinction_epsilon=spec.extinction_epsilon)
 
     for out in spec.outputs:
         if out == "trajectory":
@@ -133,12 +142,11 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
                 p_star = _equilibrium_p(spec, params)
             row["gain"] = eq.cost_gain(p_star)
         elif out == "psi":
-            table = risk_profile(params, spec.dist, horizon=spec.horizon,
-                                 dt=spec.dt)
-            row["psi"] = eq.pure_ne(table, params).psi
+            row["psi"] = eq.pure_ne(_table(spec, params), params).psi
         elif out == "u_c_star":
-            row["u_c_star"] = eq.critical_update_cost(params, spec.dist,
-                                                      spec.horizon, spec.dt)
+            row["u_c_star"] = eq.critical_update_cost(
+                params, spec.dist, spec.horizon, spec.dt,
+                spec.extinction_epsilon)
     return row
 
 
@@ -176,7 +184,8 @@ def run(spec: ExperimentSpec,
         chunk = order[lo:lo + block]
         if needs_table:
             risk_profiles([points[i][0] for i in chunk], spec.dist,
-                          horizon=spec.horizon, dt=spec.dt)
+                          horizon=spec.horizon, dt=spec.dt,
+                          extinction_epsilon=spec.extinction_epsilon)
         rows += [_run_point(spec, values[i], *points[i]) for i in chunk]
 
     if out_dir is not None:

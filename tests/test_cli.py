@@ -5,12 +5,21 @@ import pytest
 
 from virusgame.cli import main
 from virusgame.config import parse_config
+from virusgame.dynamics import integrate
+from virusgame.risk import risk_profile
 
 SMALL_CONFIG = {
     "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
     "delta": 0.1, "delta_s": 0.1, "lambda_influence": 5e-6,
     "x0": 0.0, "s0": 3.0, "infection_cost": 1.0, "update_cost": 0.1,
     "horizon": 300.0, "dt": 0.1,
+}
+
+# the Section IV roster: exponential thresholds with the default mean
+SECTION_IV_CONFIG = {
+    "n_sources": 50, "beta": 1e-4, "gamma": 1e-3, "delta": 0.1,
+    "delta_s": 0.1, "lambda_influence": 1e-4, "x0": 0.0, "s0": 10.0,
+    "infection_cost": 1.0, "update_cost": 0.1,
 }
 
 
@@ -168,6 +177,40 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(
             f"error: invalid experiment spec {spec_path}: ")
         assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+    def test_spec_extinction_epsilon_reaches_every_output(self, tmp_path,
+                                                          capsys):
+        """A spec's extinction_epsilon sets the risk tables, the critical
+        cost and the trajectories of a sweep, as it does for the other
+        subcommands on the same config."""
+        config = dict(SECTION_IV_CONFIG, n_nodes=60, horizon=200.0,
+                      extinction_epsilon=0.5)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["equilibrium", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out.startswith("p_star=0 ")
+        cfg = parse_config(config)
+        traj = integrate(cfg.params, 6.0, cfg.dist, horizon=200.0,
+                         extinction_epsilon=0.5)
+        u_c = risk_profile(cfg.params, cfg.dist, horizon=200.0,
+                           extinction_epsilon=0.5)[0]  # I_c = 1
+        for name, sweep, outputs, row in (
+                ("eq", ("update_cost", 0.1), ["p_star", "u_c_star"],
+                 f"0.1,0,{u_c:.9g}"),
+                ("traj", ("p", 0.1), ["t_f"],
+                 f"0.1,{traj.extinction_time:.9g}")):
+            spec_path = tmp_path / f"{name}.json"
+            spec_path.write_text(json.dumps({
+                "name": name, "config": config,
+                "sweep": {"param": sweep[0], "values": [sweep[1]]},
+                "outputs": outputs}))
+            assert main(["sweep", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "o")]) == 0
+            lines = (tmp_path / "o" / f"{name}.csv").read_text().splitlines()
+            assert lines[1] == row
+        # the default epsilon gives other values, so the spec's was read
+        assert traj.extinction_time != integrate(
+            cfg.params, 6.0, cfg.dist, horizon=200.0).extinction_time
 
     def test_non_object_spec_file_exits_one(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -255,3 +255,17 @@ class TestBatchExtinctionStats:
         with pytest.raises(ValueError):
             batch_extinction_stats([FIG3] * 3, np.arange(4), EXP100,
                                    horizon=10.0)
+
+    def test_k_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            batch_extinction_stats(FIG3, np.arange(4.0).reshape(2, 2), EXP100,
+                                   horizon=10.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+def test_bad_extinction_epsilon_refused(eps):
+    with pytest.raises(ValueError, match="extinction_epsilon"):
+        integrate(FIG3, 0.0, EXP100, horizon=10.0, extinction_epsilon=eps)
+    with pytest.raises(ValueError, match="extinction_epsilon"):
+        batch_extinction_stats(FIG3, np.arange(3), EXP100, horizon=10.0,
+                               extinction_epsilon=eps)

@@ -45,6 +45,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not a plain file name"):
             small_spec(name=name)
 
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_extinction_epsilon_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="extinction_epsilon"):
+            small_spec(extinction_epsilon=eps)
+
 
 class TestRun:
     def test_rows_sorted_by_sweep_value(self):

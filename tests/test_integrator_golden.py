@@ -9,11 +9,13 @@ shows up here.  The matrix covers the three threshold kinds, protected and
 unprotected populations, a nonzero initial infection, a saturating uniform
 hazard, signed-zero initial values, a stiff case (delta * dt = 10) in which an RK4 stage drives the
 cumulative count below zero, and stacked multi-table batches that stop
-early, truncate at the horizon and saturate.  The CSV files written from
-``integrate``'s trajectories (three builtin sweeps and two ``virusgame
-simulate`` runs) are hashed as well.  A plain per-step RK4, one step and
-one bookkeeping update at a time, serves as the reference for both
-integrators on a wider set of random cases.
+early, truncate at the horizon and saturate, with one source shared by
+every column, one that a stage splits, and a source per column.  The CSV
+files written from ``integrate``'s trajectories (three builtin sweeps and
+two ``virusgame simulate`` runs) and two equilibrium sweeps are hashed as
+well.  A plain per-step RK4, one step and one bookkeeping update at a
+time, serves as the reference for both integrators on a wider set of
+random cases.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from virusgame.cli import main
-from virusgame.dynamics import (SystemParams, ThresholdDistribution,
+from virusgame.dynamics import (SystemParams, ThresholdDistribution, _Stepper,
                                 _column_constants, _stoppable,
                                 batch_extinction_stats, integrate)
 from virusgame.experiments import get_builtin, run
@@ -92,6 +94,20 @@ BATCH_CASES = {
         SATURATING, np.arange(0, 101, 5), UNIF5, 200.0, 0.1),
     "signed_zero_initials": (
         SIGNED_ZERO, np.arange(0, 101, 25), EXP100, 50.0, 0.1),
+    # one shared source for three tables: two stop early at different
+    # steps, and the supercritical one truncates at the horizon
+    "one_source_group": (
+        [dataclasses.replace(SECTION_IV, n_nodes=20)] * 21 + [SECTION_IV] * 61
+        + [dataclasses.replace(SECTION_IV, n_nodes=30, beta=1e-2)] * 31,
+        np.concatenate([np.arange(21), np.arange(61), np.arange(31)]),
+        EXP100, 400.0, 0.1),
+    # a shared source that a negative x_bar stage splits in the first block
+    "stiff_alone": (STIFF, np.arange(0, 101, 10), EXP100, 100.0, 0.1),
+    # source constants that differ between tables: a source per column
+    "s0_differs": (
+        [SECTION_IV] * 61 + [dataclasses.replace(SECTION_IV, s0=5.0)] * 61,
+        np.concatenate([np.arange(61), np.arange(61)]),
+        EXP100, 400.0, 0.1),
 }
 
 INTEGRATE_GOLDEN = {
@@ -124,6 +140,12 @@ BATCH_GOLDEN = {
         "88f38c6a1eac01968080c681eb8bcff214ae0506e1b8158ec93e6911aed1a2e0",
     "signed_zero_initials":
         "7e157784cc417edc72effe38f4ba548cc80a0950cb8af6f62ed23b02c550bb2c",
+    "one_source_group":
+        "c894fd468365841263ae698ea4b7f0a6112f1ff86ce37bc5529d3273440a6b74",
+    "stiff_alone":
+        "e30add4c463da071b1d475283297ff68a94fb8b40ffeb308414e66e03f59c7c1",
+    "s0_differs":
+        "b25fc0cb97796a349d0c8e7b85cb0c425a291ae294ffc581080fb2ef35902650",
 }
 
 
@@ -188,6 +210,33 @@ def test_stiff_case_drives_a_stage_below_zero(monkeypatch):
     params, k, dist, horizon, dt = INTEGRATE_CASES["stiff_negative_stage"]
     integrate(params, k, dist, horizon=horizon, dt=dt)
     assert min(seen) < 0.0
+
+
+@pytest.mark.parametrize("name,shared,split", [
+    ("one_source_group", True, False),
+    ("stiff_alone", True, True),
+    ("s0_differs", False, False),
+])
+def test_source_path_taken(name, shared, split, monkeypatch):
+    """Which batches step one shared source, and which fall back to a
+    source per column: STIFF's negative x_bar stage evaluates the hazard,
+    a batch whose columns all share exponential source constants never
+    does."""
+    calls = {"hazard": 0, "shared": 0}
+    hazard, rhs_shared = ThresholdDistribution.hazard, _Stepper._rhs_shared
+
+    def spy_hazard(self, x):
+        calls["hazard"] += 1
+        return hazard(self, x)
+
+    def spy_shared(self, *args):
+        calls["shared"] += 1
+        return rhs_shared(self, *args)
+
+    monkeypatch.setattr(ThresholdDistribution, "hazard", spy_hazard)
+    monkeypatch.setattr(_Stepper, "_rhs_shared", spy_shared)
+    batch_result(name)
+    assert (calls["shared"] > 0, calls["hazard"] > 0) == (shared, split)
 
 
 class _ReferenceHazard:
@@ -337,12 +386,16 @@ def test_matches_per_step_reference():
 # CSV bytes written from integrate's trajectories: the builtin sweeps that
 # record trajectories or read one (fig4_sources is fig3_infection under
 # another name), and `virusgame simulate` at a fractional protection count;
-# fig8_pstar_vs_cost pins the mixed solver's p* on the Section IV table
+# fig8_pstar_vs_cost pins the mixed solver's p* on the Section IV table;
+# fig7_gain (fig6's p* column and the gain) pins the largest batch of the
+# builtins, 5,510 columns of one shared source at horizon 1000
 SWEEP_CSV_GOLDEN = {
     "fig3_infection":
         "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",
     "fig5_infection_prob":
         "8a944f3815627104708ab1594e9eb058452af41a95b2d92d4b24f77577520592",
+    "fig7_gain":
+        "9eab4f9f1b385bb85ea421c1b6d7460d6b72b1c14ae93c1537ad7b5653080be2",
     "fig8_pstar_vs_cost":
         "41aba8026a5a8b7276db97ac08091e16fbec8330cf68f10fad7ccd0978f21af0",
     "fig9_x_vs_cost":
