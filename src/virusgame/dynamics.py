@@ -179,8 +179,8 @@ _BLOCK_BYTES = 1 << 19  # budget of the per-block bookkeeping buffer
 def step_count(horizon: float, dt: float) -> int:
     """Number of RK4 steps that span [0, horizon]; refuses a dt that does
     not fit the horizon a whole number of times."""
-    if not 0 < dt <= horizon:
-        raise ValueError("require 0 < dt <= horizon")
+    if not 0 < dt <= horizon < math.inf:
+        raise ValueError("require 0 < dt <= horizon < inf")
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon:g} is not a whole number of "

@@ -20,7 +20,7 @@ from . import equilibrium as eq
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
                        SystemParams, ThresholdDistribution, Trajectory,
-                       check_epsilon, integrate)
+                       check_epsilon, integrate, step_count)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
 
@@ -61,6 +61,7 @@ class ExperimentSpec:
             if out not in _VALID_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}")
         check_epsilon(self.extinction_epsilon)
+        step_count(self.horizon, self.dt)
 
 
 def _fmt(value) -> str:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
+import threading
 import warnings
 from bisect import insort
 from dataclasses import dataclass
@@ -211,6 +213,114 @@ def _warn_truncated(truncated: int, n_reps: int) -> None:
             RuntimeWarning, stacklevel=3)
 
 
+def _run_chunk(work, reps: range):
+    """work(rep) for each rep in order: the rows as a float64 array of
+    len(reps) rows, and how many of the reps were truncated."""
+    rows, truncated = [], 0
+    for rep in reps:
+        row, cut = work(rep)
+        rows.append(row)
+        truncated += cut
+    return np.array(rows, dtype=np.float64).reshape(len(reps), -1), truncated
+
+
+def _child(work, reps: range, fd: int) -> None:
+    """Run one chunk in a forked child and write it to fd: three int64
+    (0, truncation count, row width) then the rows, or (1, 0, 0) then the
+    pickled exception.  Exits 0 once the write is complete; never returns."""
+    code = 1
+    try:
+        try:
+            rows, truncated = _run_chunk(work, reps)
+            payload = (np.array([0, truncated, rows.shape[1]], np.int64)
+                       .tobytes() + rows.tobytes())
+        # anything, interrupts included, goes back to the caller, which
+        # raises it; this process ends below either way
+        except BaseException as exc:
+            import pickle
+            try:
+                blob = pickle.dumps(exc)
+                pickle.loads(blob)
+            except Exception:
+                blob = pickle.dumps(RuntimeError(
+                    f"{type(exc).__name__}: {exc}"))
+            payload = np.array([1, 0, 0], np.int64).tobytes() + blob
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _replicate(work, n_reps: int, workers=None):
+    """Run work(rep) for rep in range(n_reps) on every usable core.
+
+    work returns one replication's row (a float or a 1-D array) and whether
+    it was truncated.  The reps are split into contiguous chunks, one per
+    worker; this process runs the first chunk and a forked child each of
+    the others, sending its rows back through a pipe.  Returns the rows as
+    an (n_reps, width) float64 array in rep order, and the truncation
+    count.  A row depends only on its rep, so the result is bit-identical
+    to one process running the reps in order.
+
+    workers defaults to the usable cores.  The whole range runs in this
+    process when that leaves one chunk, when fork is unavailable, or when
+    other threads are running (forking them is unsafe).  An exception in a
+    child is raised here with its type and message, and a child that dies
+    is a RuntimeError naming its exit status.  No child outlives the call.
+    """
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:
+            workers = os.cpu_count() or 1
+    workers = min(workers, n_reps)
+    if (workers <= 1 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return _run_chunk(work, range(n_reps))
+
+    bounds = [n_reps * i // workers for i in range(workers + 1)]
+    children = []  # (pid, read end of its pipe), in rep order
+    reaped = set()
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(work, range(lo, hi), w)
+            os.close(w)
+            children.append((pid, r))
+        chunks = [_run_chunk(work, range(bounds[1]))]
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0:
+                raise RuntimeError(f"oracle replication process {pid} "
+                                   f"exited with status {status}")
+            failed, truncated, width = np.frombuffer(payload[:24], np.int64)
+            if failed:
+                import pickle
+                raise pickle.loads(payload[24:])
+            chunks.append((np.frombuffer(payload[24:], np.float64)
+                           .reshape(-1, width), truncated))
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if pid not in reaped:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return (np.concatenate([rows for rows, _ in chunks]),
+            sum(int(truncated) for _, truncated in chunks))
+
+
 def empirical_infection_probability(params: SystemParams,
                                     dist: ThresholdDistribution,
                                     k_protected: int, n_reps: int, seed,
@@ -226,13 +336,14 @@ def empirical_infection_probability(params: SystemParams,
     n_exposed = params.n_nodes - k_protected
     if n_exposed == 0:
         return 0.0, 0.0
-    fractions = np.empty(n_reps)
-    truncated = 0
-    for rep in range(n_reps):
+
+    def fraction(rep):
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
-        fractions[rep] = res.ever_infected.sum() / n_exposed
-        truncated += res.truncated
+        return res.ever_infected.sum() / n_exposed, res.truncated
+
+    rows, truncated = _replicate(fraction, n_reps)
     _warn_truncated(truncated, n_reps)
+    fractions = rows[:, 0]
     estimate = float(fractions.mean())
     std_error = float(fractions.std(ddof=1) / np.sqrt(n_reps))
     return estimate, std_error
@@ -245,11 +356,15 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
     if n_reps < 1:
         raise ValueError("need at least 1 replication")
     t_grid = np.arange(step_count(horizon, dt) + 1) * dt
-    acc = np.zeros_like(t_grid)
-    truncated = 0
-    for rep in range(n_reps):
+
+    def path(rep):
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
-        acc += res.x_at(t_grid)
-        truncated += res.truncated
+        return res.x_at(t_grid), res.truncated
+
+    rows, truncated = _replicate(path, n_reps)
     _warn_truncated(truncated, n_reps)
+    # summed one rep at a time, in rep order, as a single loop would
+    acc = np.zeros_like(t_grid)
+    for row in rows:
+        acc += row
     return t_grid, acc / n_reps

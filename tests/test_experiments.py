@@ -50,6 +50,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="extinction_epsilon"):
             small_spec(extinction_epsilon=eps)
 
+    @pytest.mark.parametrize("horizon, dt", [
+        (float("nan"), -1.0), (float("nan"), 0.1), (300.0, float("nan")),
+        (300.0, 0.0), (300.0, -1.0), (1.0, 2.0), (float("inf"), 0.1),
+        (1.0, 0.3)])
+    def test_step_must_fit_the_horizon(self, horizon, dt):
+        with pytest.raises(ValueError, match="dt"):
+            small_spec(horizon=horizon, dt=dt)
+
 
 class TestRun:
     def test_rows_sorted_by_sweep_value(self):

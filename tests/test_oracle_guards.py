@@ -23,26 +23,28 @@ def test_non_finite_horizon_refused(horizon):
         oracle.simulate_ctmc(SMALL, EXP100, 0, seed=0, horizon=horizon)
 
 
-@pytest.fixture
-def capped(monkeypatch):
-    """Route every replication through a 5-event cap; record which of them
-    stopped at it."""
-    real = oracle.simulate_ctmc
-    flags = []
-
-    def simulate(*args, **kwargs):
-        res = real(*args, event_cap=5, **kwargs)
-        flags.append(res.truncated)
-        return res
-
-    monkeypatch.setattr(oracle, "simulate_ctmc", simulate)
-    return flags
-
-
 # with a 5-event cap, about a fifth of these replications are cut short
 CAPPED_CONFIG = {"n_nodes": 30, "n_sources": 10, "s0": 3.0, "horizon": 200.0,
                  "dt": 0.5}
 CAPPED = parse_config(CAPPED_CONFIG)
+
+
+@pytest.fixture
+def capped(monkeypatch):
+    """Route every replication through a 5-event cap; return how many of
+    the 100 replications seeded [3, rep] stop at it.
+
+    The count comes from the unpatched simulation run here, not from the
+    patched calls: forked replication processes inherit the patch, but
+    anything they record stays in their own memory."""
+    real = oracle.simulate_ctmc
+
+    def simulate(*args, **kwargs):
+        return real(*args, event_cap=5, **kwargs)
+
+    monkeypatch.setattr(oracle, "simulate_ctmc", simulate)
+    return sum(real(CAPPED.params, CAPPED.dist, 0, [3, rep], 200.0,
+                    event_cap=5).truncated for rep in range(100))
 
 
 def test_truncated_reps_are_reported(capped):
@@ -50,18 +52,18 @@ def test_truncated_reps_are_reported(capped):
         oracle.empirical_infection_probability(CAPPED.params, CAPPED.dist, 0,
                                                n_reps=100, seed=3,
                                                horizon=200.0)
-    n_truncated = sum(capped)
-    assert len(capped) == 100 and 0 < n_truncated < 100
+    assert 0 < capped < 100
     assert len(record) == 1
     assert str(record[0].message).startswith(
-        f"{n_truncated} of 100 replications hit the event cap")
+        f"{capped} of 100 replications hit the event cap")
 
 
 def test_mean_path_reports_truncated_reps(capped):
-    with pytest.warns(RuntimeWarning, match="replications hit the event cap"):
+    assert 0 < capped < 100
+    with pytest.warns(RuntimeWarning, match=f"^{capped} of 100 replications "
+                      "hit the event cap"):
         oracle.mean_infected_path(CAPPED.params, CAPPED.dist, 0, n_reps=100,
                                   seed=3, horizon=200.0, dt=1.0)
-    assert any(capped)
 
 
 def test_no_warning_without_truncation():
@@ -77,9 +79,8 @@ def test_cli_oracle_shows_truncation_on_stderr(capped, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(path), "--reps", "100",
                  "--seed", "3", "--out", str(out)]) == 0
-    n_truncated = sum(capped)
-    assert 0 < n_truncated < 100
-    assert (f"warning: {n_truncated} of 100 replications hit the event cap"
+    assert 0 < capped < 100
+    assert (f"warning: {capped} of 100 replications hit the event cap"
             in capsys.readouterr().err)
 
     # the CSV holds the library's estimate, and no trace of the warning
