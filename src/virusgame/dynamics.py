@@ -172,7 +172,7 @@ class Trajectory:
         return len(self.t)
 
 
-_STOP_EVERY = 50  # steps between two early-stop checks
+_CHECK_EVERY = 50  # most steps between two non-finite state checks
 _BLOCK_BYTES = 1 << 19  # budget of the per-block bookkeeping buffer
 
 
@@ -216,8 +216,7 @@ class _Stepper:
     formula does, so a column is bit-identical alone or stacked.  The
     exponential hazard is the constant 1/mean where every column has
     x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
-    hazard keeps the last finite value ``c.h_last`` and sets
-    ``c.saturated``.
+    hazard keeps the last finite value ``h_last`` and sets ``saturated``.
 
     A constant hazard leaves ds/dt = -delta_s*s + (lambda*h)*(n_s - s)
     reading neither x nor k, so columns with the same source constants
@@ -229,7 +228,7 @@ class _Stepper:
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
                  dt: float):
-        self.dist = dist
+        self.c, self.dist = c, dist
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
         self.h_exp = _constant_hazard(dist)
         src = np.array([c.n_sources, c.delta_s, c.lambda_influence, c.s0])
@@ -238,26 +237,28 @@ class _Stepper:
         if self.shared:  # -delta_s, lambda*h and n_s as floats
             n_s, delta_s, lam = src[:3, 0].tolist()
             self.source = (-delta_s, lam * self.h_exp, n_s)
-        c.h_last, c.saturated = np.zeros(len(c.k)), np.zeros(len(c.k), bool)
-        self.keep(c, slice(None))
-
-    def keep(self, c: SimpleNamespace, mask) -> None:
-        """Run the columns of c (constants, hazard state) where mask holds."""
-        self.c = c = SimpleNamespace(**{k: v[mask] for k, v in vars(c).items()})
-        n, m = len(c.k), 2 if self.shared else 3  # state rows in arrays
+        n = len(c.k)
+        self.h_last, self.saturated = np.zeros(n), np.zeros(n, bool)
         self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
         self.caps = np.array([c.n_nodes - c.k, c.n_sources])
+        self.lam_h = c.lambda_influence * (self.h_exp or 0.0)
+        self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
+        self.lamh = np.empty(n)
+        self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
+                      self.room[0], self.room[1])
+        self._layout()
+
+    def _layout(self) -> None:
+        """Bounds, stage buffers and right-hand side for the shared or the
+        per-column source."""
+        c, n = self.c, len(self.c.k)
+        m = 2 if self.shared else 3  # state rows in arrays
         # bounds of the clipped rows: x, and s where it is per column
         self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0),
                             c.n_sources])[:m - 1]
-        self.h_const = np.full(n, self.h_exp or 0.0)
-        self.lam_h = c.lambda_influence * self.h_const
-        self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
-        self.lamh, self.stage = np.empty(n), np.empty((m, n))
-        self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
-                      self.room[0], self.room[1])
+        self.stage = np.empty((m, n))
         if self.shared:
-            c.h_last, self.rhs = self.h_const, self._rhs_shared
+            self.rhs = self._rhs_shared
             # beta, gamma, -delta and N - k
             self.x_rates = (*self.rates[0], self.rates[1, 0], self.caps[0])
             # derivatives (dx, dx_bar = force) of the rows (x, x_bar)
@@ -271,14 +272,13 @@ class _Stepper:
 
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
         if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
-            self.c.h_last = self.h_const
             return self.lam_h
         h = np.asarray(self.dist.hazard(x_bar), dtype=float)
         bad = ~np.isfinite(h)
         if bad.any():
-            self.c.saturated |= bad
-            h = np.where(bad, self.c.h_last, h)
-        self.c.h_last = h
+            self.saturated |= bad
+            h = np.where(bad, self.h_last, h)
+        self.h_last = h
         return np.multiply(self.c.lambda_influence, h, out=self.lamh)
 
     def _rhs(self, y: np.ndarray, s: float, d: tuple) -> float:
@@ -352,7 +352,7 @@ class _Stepper:
                 states[1:, 1] = np.array(path[1:])[:, None]
             except _SourceSplit:  # redo the block, a source per column
                 self.shared = False
-                self.keep(self.c, slice(None))
+                self._layout()
         if not self.shared:
             for j in range(1, len(states)):
                 self.step(states[j - 1], states[j], 0.0)
@@ -416,8 +416,8 @@ def integrate(params: SystemParams, k_protected: float,
     x = hx[0] = float(params.x0)
     s = hs[0] = float(params.s0)
     xb = hxb[0] = x
-    for i0 in range(0, n_steps, _STOP_EVERY):  # stop soon after a blow-up
-        i1 = min(i0 + _STOP_EVERY, n_steps)
+    for i0 in range(0, n_steps, _CHECK_EVERY):  # stop soon after a blow-up
+        i1 = min(i0 + _CHECK_EVERY, n_steps)
         for i in range(i0 + 1, i1 + 1):
             a1, b1, c1 = rhs(x, s, xb)
             a2, b2, c2 = rhs(x + a1 * half, s + b1 * half, xb + c1 * half)
@@ -454,41 +454,24 @@ _COLUMN_FIELDS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
 
 
 def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
-    """Per-column model constants, protection level k, table id and index.
-    ``params`` is one parameter set for every column or one per column;
-    columns with equal parameter sets share a table id."""
+    """Per-column model constants and protection level k.  ``params`` is
+    one parameter set for every column or one per column; equal parameter
+    sets are read once."""
     if isinstance(params, SystemParams):
-        tables, table = [params], np.zeros(len(k), dtype=int)
+        sets, idx = [params], np.zeros(len(k), dtype=int)
     else:
         if len(params) != len(k):
             raise ValueError("need one parameter set per k_protected value")
         ids = {}
-        table = np.array([ids.setdefault(p, len(ids)) for p in params],
-                         dtype=int)
-        tables = list(ids)
-    cols = {name: np.array([getattr(p, name) for p in tables],
-                           dtype=float)[table]
+        idx = np.array([ids.setdefault(p, len(ids)) for p in params],
+                       dtype=int)
+        sets = list(ids)
+    cols = {name: np.array([getattr(p, name) for p in sets],
+                           dtype=float)[idx]
             for name in _COLUMN_FIELDS}
     if not ((k >= 0) & (k <= cols["n_nodes"])).all():
         raise ValueError("k_protected must lie in [0, n_nodes]")
-    return SimpleNamespace(**cols, k=k, table=table, col=np.arange(len(k)))
-
-
-def _stoppable(c: SimpleNamespace, x, s, h_now, cand_t, eps) -> np.ndarray:
-    """Columns whose whole table is provably extinct and cannot regrow
-    above epsilon: every column of it has an extinction candidate, sits
-    below eps/2, is subcritical and sees too little forcing to restart."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_cap = np.where(c.delta_s > 0,
-                         np.maximum(s, c.lambda_influence * h_now
-                                    * c.n_sources / c.delta_s),
-                         c.n_sources)
-    s_cap = np.minimum(s_cap, c.n_sources)
-    pool = np.maximum(c.n_nodes - c.k, 0.0)
-    ok = (~np.isnan(cand_t) & (x <= 0.5 * eps)
-          & ((c.beta * pool <= 0.95 * c.delta) | (x <= 0))
-          & ((c.gamma * s_cap + c.beta * x) * pool <= 0.5 * c.delta * eps))
-    return ~np.isin(c.table, c.table[~ok])
+    return SimpleNamespace(**cols, k=k)
 
 
 # floats a batch block holds per column and step: the state (x, s, x_bar),
@@ -502,17 +485,19 @@ def batch_extinction_stats(params, k_values: np.ndarray,
                            dt: float = DEFAULT_DT,
                            extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON):
     """Integrate once for many protection levels; return per-column
-    extinction time, accumulated infection hazard integral (trapezoid of
-    beta*X + gamma*S over [0, t_f]) and truncation/saturation flags.
+    extinction time t_f, accumulated infection hazard integral (trapezoid
+    of beta*X + gamma*S over [0, t_f]) and truncation/saturation flags.
+
+    t_f is ``Trajectory``'s extinction time: the first sample time at or
+    after the peak of x where x <= the extinction epsilon; a column that
+    never gets there is truncated, with t_f = horizon.
 
     ``params`` is one SystemParams for every column, or one per column;
-    columns with equal parameter sets form a table, and the tables run side
-    by side.  This is the engine behind the k -> P_i(k) risk tables; no
-    trajectory is kept.  After each block of steps the trapezoid, running
-    maximum and extinction candidates catch up on all its steps at once.
-    Every 50 steps, a table whose columns are all provably extinct
-    for good stops and leaves the batch, so each table is bit-identical to
-    a call of its own.
+    the columns run side by side to the horizon, each bit-identical to a
+    call of its own.  This is the engine behind the k -> P_i(k) risk
+    tables; no trajectory is kept.  After each block of steps the
+    trapezoid, running maximum and extinction candidates catch up on all
+    its steps at once.
     """
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
@@ -522,12 +507,13 @@ def batch_extinction_stats(params, k_values: np.ndarray,
                          f"{k_values.shape}")
     c = _column_constants(params, k_values)
     n_cols = len(c.k)
+    if not n_cols:
+        return np.empty(0), np.empty(0), np.zeros(0, bool), np.zeros(0, bool)
     eps = extinction_epsilon
     stepper = _Stepper(c, dist, dt)
 
-    # steps per block: the largest divisor of _STOP_EVERY whose buffer fits
-    rows = next(b for b in (50, 25, 10, 5, 2, 1)
-                if (b + 1) * _SLOTS * 8 * n_cols <= _BLOCK_BYTES or b == 1)
+    # steps per block: as many as the buffer budget holds, at least one
+    rows = max(1, min(_CHECK_EVERY, _BLOCK_BYTES // (_SLOTS * 8 * n_cols) - 1))
     # row 0 holds the values after the previous block; the state is stored
     # by step, as _Stepper steps it, and g and its trapezoid by slot, so no
     # operation reads and writes overlapping memory
@@ -536,13 +522,12 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     states[0] = c.x0, c.s0, c.x0
     book[:, 0] = c.beta * c.x0 + c.gamma * c.s0, np.zeros(n_cols)
     run_max = c.x0.copy()
-    # extinction candidates and results, for every column
+    # extinction candidates: time and hazard integral
     cand_t = np.where(c.x0 <= eps, 0.0, np.nan)
-    cand_h, saturated = cand_t.copy(), np.zeros(n_cols, dtype=bool)
+    cand_h = cand_t.copy()
     for i0 in range(0, n_steps, rows):
         b = min(rows, n_steps - i0)
         stepper.advance(states[:b + 1], i0)
-        c = stepper.c
         x, g, run = states[1:b + 1, 0], book[0, :b + 1], book[1, :b + 1]
         # trapezoid, summed step by step (row 0 holds the sum so far):
         # cum_i = cum_{i-1} + 0.5*dt*(g_{i-1} + g_i)
@@ -561,30 +546,17 @@ def batch_extinction_stats(params, k_values: np.ndarray,
         rising = top > run_max
         np.maximum(run_max, top, out=run_max)
         low = x <= eps
-        cand_t[c.col[rising]] = np.nan
-        w = np.flatnonzero(np.isnan(cand_t[c.col]) & low.any(axis=0))
+        cand_t[rising] = np.nan
+        w = np.flatnonzero(np.isnan(cand_t) & low.any(axis=0))
         if w.size:
             start = np.where(rising[w], np.argmax(x[:, w], axis=0), 0)
             hit = low[:, w] & (np.arange(b)[:, None] >= start)
             found = hit.any(axis=0)
             first, w = np.argmax(hit, axis=0)[found], w[found]
-            cand_t[c.col[w]] = (i0 + 1 + first) * dt
-            cand_h[c.col[w]] = run[first + 1, w]
+            cand_t[w] = (i0 + 1 + first) * dt
+            cand_h[w] = run[first + 1, w]
         states[0], book[:, 0] = states[b], book[:, b]
 
-        if (i0 + b) % _STOP_EVERY == 0:
-            done = _stoppable(c, states[0, 0], states[0, 1], c.h_last,
-                              cand_t[c.col], eps)
-            if done.any():
-                saturated[c.col[done]] = c.saturated[done]
-                stepper.keep(c, ~done)
-                states, book = states[:, :, ~done], book[:, :, ~done]
-                run_max = run_max[~done]
-                if done.all():
-                    break
-
-    c = stepper.c
-    saturated[c.col] = c.saturated
     late = np.isnan(cand_t)
-    cand_h[c.col] = np.where(late[c.col], book[1, 0], cand_h[c.col])
-    return np.where(late, horizon, cand_t), cand_h, late, saturated
+    return (np.where(late, horizon, cand_t),
+            np.where(late, book[1, 0], cand_h), late, stepper.saturated)

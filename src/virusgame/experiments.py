@@ -57,9 +57,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep parameter {param!r}")
         if len(values) == 0:
             raise ValueError("sweep value list must be nonempty")
-        for out in self.outputs:
+        if len(self.outputs) == 0:
+            raise ValueError("output list must be nonempty")
+        for i, out in enumerate(self.outputs):
             if out not in _VALID_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}")
+            if out in self.outputs[:i]:
+                raise ValueError(f"output {out!r} is listed twice")
         check_epsilon(self.extinction_epsilon)
         step_count(self.horizon, self.dt)
 

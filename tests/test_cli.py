@@ -162,6 +162,22 @@ class TestSweep:
             f"error: invalid experiment spec {spec_path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep,outputs", [
+        ({"param": "n_nodes", "values": [30, 40]}, []),
+        ({"param": "update_cost", "values": [0.1]}, ["p_star", "p_star"]),
+    ])
+    def test_empty_or_repeated_outputs_refused(self, tmp_path, capsys,
+                                               sweep, outputs):
+        spec = {"name": "toy", "config": SMALL_CONFIG, "sweep": sweep,
+                "outputs": outputs}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment spec {spec_path}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../escaped", "..", "a/b", ""])
     def test_spec_name_escaping_out_refused(self, tmp_path, capsys, name):
         spec = {

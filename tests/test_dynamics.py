@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from virusgame.dynamics import (SystemParams, ThresholdDistribution,
-                                batch_extinction_stats, integrate, step_count)
+from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
+                                ThresholdDistribution, batch_extinction_stats,
+                                integrate, step_count)
+from virusgame.risk import infection_probability
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -260,6 +263,79 @@ class TestBatchExtinctionStats:
         with pytest.raises(ValueError, match="one-dimensional"):
             batch_extinction_stats(FIG3, np.arange(4.0).reshape(2, 2), EXP100,
                                    horizon=10.0)
+
+    @pytest.mark.parametrize("dist", [
+        DEFAULT_DIST, ThresholdDistribution.weibull(2.0, 5.0)])
+    def test_zero_columns(self, dist):
+        got = batch_extinction_stats(DEFAULT_PARAMS, np.array([]), dist)
+        assert [(a.dtype, a.shape) for a in got] == [
+            (np.float64, (0,)), (np.float64, (0,)), (bool, (0,)),
+            (bool, (0,))]
+
+    @pytest.mark.parametrize("params,dist,horizon", [
+        # x and s fall below eps/2 early on, then the source regrows x
+        # past its first peak at t = 36.1
+        (SystemParams(n_nodes=40, n_sources=10, beta=1e-3, gamma=1e-3,
+                      delta=1.0, delta_s=25.0, lambda_influence=1e-2,
+                      x0=0.0, s0=0.0, infection_cost=1.0, update_cost=0.1),
+         ThresholdDistribution.exponential(1.0), 50.0),
+        # x still rising at the horizon, t_f = 10
+        (SystemParams(n_nodes=10, n_sources=10, beta=0.0, gamma=1e-3,
+                      delta=0.1, delta_s=25.0, lambda_influence=1e-4,
+                      x0=0.0, s0=0.0, infection_cost=1.0, update_cost=0.1),
+         EXP100, 10.0),
+    ])
+    def test_t_f_is_the_trajectorys(self, params, dist, horizon):
+        """t_f is the first sample at or after the peak of x where
+        x <= eps, however low x dips before the peak."""
+        t_f, integral, _, _ = batch_extinction_stats(
+            params, np.array([0.0]), dist, horizon=horizon)
+        traj = integrate(params, 0.0, dist, horizon=horizon)
+        assert t_f[0] == traj.extinction_time
+        assert abs(integral[0]
+                   - infection_probability(traj, params).hazard_integral
+                   ) <= 1e-10
+
+
+@st.composite
+def one_column(draw):
+    """A one-column batch whose decay rates keep RK4 stable: delta*dt <= 1,
+    delta_s*dt <= 1, and lambda <= 1e-2, which keeps the activation rate
+    lambda*h small beside 1/dt even where a uniform or Weibull hazard
+    grows without bound."""
+    dt = draw(st.sampled_from([0.1, 0.5]))
+    n = draw(st.integers(2, 60))
+    n_s = draw(st.integers(1, 50))
+    rate = st.sampled_from([0.0, 1e-4, 1e-3, 1e-2])
+    params = SystemParams(
+        n_nodes=n, n_sources=n_s, beta=draw(rate), gamma=draw(rate),
+        delta=draw(st.floats(0.0, 1.0 / dt)),
+        delta_s=draw(st.floats(0.0, 1.0 / dt)),
+        lambda_influence=draw(st.sampled_from([0.0, 1e-4, 1e-2])),
+        x0=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        s0=draw(st.sampled_from([0.0, 1.0, float(n_s)])),
+        infection_cost=1.0, update_cost=0.1)
+    dist = draw(st.sampled_from([
+        ThresholdDistribution.exponential(1.0), EXP100,
+        ThresholdDistribution.uniform(0.0, 5.0),
+        ThresholdDistribution.weibull(0.8, 5.0),
+        ThresholdDistribution.weibull(2.0, 500.0)]))
+    k = float(draw(st.integers(0, n)))
+    return params, k, dist, dt * draw(st.integers(1, 200)), dt
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(one_column())
+def test_batch_column_matches_integrate(case):
+    params, k, dist, horizon, dt = case
+    t_f, integral, truncated, _ = batch_extinction_stats(
+        params, np.array([k]), dist, horizon=horizon, dt=dt)
+    traj = integrate(params, k, dist, horizon=horizon, dt=dt)
+    want = traj.extinction_time
+    assert truncated[0] == (want is None)
+    assert t_f[0] == (horizon if want is None else want)
+    assert abs(integral[0]
+               - infection_probability(traj, params).hazard_integral) <= 1e-10
 
 
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])

@@ -35,6 +35,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(outputs=("nonsense",))
 
+    def test_empty_outputs(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            small_spec(outputs=())
+
+    def test_duplicate_output(self):
+        with pytest.raises(ValueError, match="'p_star' is listed twice"):
+            small_spec(outputs=("p_star", "t_f", "p_star"))
+
     def test_empty_sweep(self):
         with pytest.raises(ValueError):
             small_spec(sweep=("p", ()))

@@ -7,29 +7,28 @@ sign of a zero included, so any change to the grouping of a floating-point
 expression, to the clipping of the state or to when the hazard falls back
 shows up here.  The matrix covers the three threshold kinds, protected and
 unprotected populations, a nonzero initial infection, a saturating uniform
-hazard, signed-zero initial values, a stiff case (delta * dt = 10) in which an RK4 stage drives the
-cumulative count below zero, and stacked multi-table batches that stop
-early, truncate at the horizon and saturate, with one source shared by
-every column, one that a stage splits, and a source per column.  The CSV
-files written from ``integrate``'s trajectories (three builtin sweeps and
-two ``virusgame simulate`` runs) and two equilibrium sweeps are hashed as
-well.  A plain per-step RK4, one step and one bookkeeping update at a
-time, serves as the reference for both integrators on a wider set of
-random cases.
+hazard, signed-zero initial values, a stiff case (delta * dt = 10) in
+which an RK4 stage drives the cumulative count below zero, and stacked
+multi-table batches whose columns go extinct, truncate at the horizon and
+saturate, with one source shared by every column, one that a stage
+splits, and a source per column.  The CSV files written from
+``integrate``'s trajectories (three builtin sweeps and two ``virusgame
+simulate`` runs) and two equilibrium sweeps are hashed as well.  A plain
+per-step RK4, one step and one bookkeeping update at a time, serves as
+the reference for both integrators on a wider set of random cases.
 """
 
 import dataclasses
 import hashlib
 import json
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from virusgame.cli import main
 from virusgame.dynamics import (SystemParams, ThresholdDistribution, _Stepper,
-                                _column_constants, _stoppable,
+                                _column_constants,
                                 batch_extinction_stats, integrate)
 from virusgame.experiments import get_builtin, run
 
@@ -75,7 +74,7 @@ INTEGRATE_CASES = {
 
 # name -> (params per column, k_values, dist, horizon, dt)
 BATCH_CASES = {
-    # a subcritical table that stops early, a supercritical one with
+    # a subcritical table that goes extinct, a supercritical one with
     # truncated columns and a stiff one, side by side
     "stacked_exp": (
         [SECTION_IV] * 61 + [dataclasses.replace(FIG3, n_nodes=30,
@@ -94,7 +93,7 @@ BATCH_CASES = {
         SATURATING, np.arange(0, 101, 5), UNIF5, 200.0, 0.1),
     "signed_zero_initials": (
         SIGNED_ZERO, np.arange(0, 101, 25), EXP100, 50.0, 0.1),
-    # one shared source for three tables: two stop early at different
+    # one shared source for three tables: two go extinct at different
     # steps, and the supercritical one truncates at the horizon
     "one_source_group": (
         [dataclasses.replace(SECTION_IV, n_nodes=20)] * 21 + [SECTION_IV] * 61
@@ -299,8 +298,6 @@ def reference_batch(params, k, dist, horizon, dt, eps=1e-3):
     run_max, cum = x.copy(), np.zeros(n)
     cand_t = np.where(x <= eps, 0.0, np.nan)
     cand_h, g_prev = cand_t.copy(), c.beta * x + c.gamma * s
-    t_f, integral = np.empty(n), np.empty(n)
-    truncated, saturated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     for i in range(1, int(round(horizon / dt)) + 1):
         x, s, xb = _reference_step(x, s, xb, dt, c, c.k, hazard)
         x, s = np.clip(x, 0.0, x_hi), np.clip(s, 0.0, c.n_sources)
@@ -312,25 +309,9 @@ def reference_batch(params, k, dist, horizon, dt, eps=1e-3):
         cand_t[new_max] = np.nan
         hit = (x <= eps) & np.isnan(cand_t)
         cand_t[hit], cand_h[hit] = i * dt, cum[hit]
-        if i % 50 == 0:
-            done = _stoppable(c, x, s, hazard.last, cand_t, eps)
-            cols = c.col[done]
-            t_f[cols], integral[cols] = cand_t[done], cand_h[done]
-            saturated[cols] = hazard.saturated[done]
-            keep = ~done
-            x, s, xb, run_max, cand_t, cand_h, cum, g_prev = (
-                a[keep] for a in (x, s, xb, run_max, cand_t, cand_h, cum,
-                                  g_prev))
-            hazard.last = hazard.last[keep]
-            hazard.saturated = hazard.saturated[keep]
-            c = SimpleNamespace(**{k: v[keep] for k, v in vars(c).items()})
-            x_hi = x_hi[keep]
     late = np.isnan(cand_t)
-    truncated[c.col] = late
-    t_f[c.col] = np.where(late, horizon, cand_t)
-    integral[c.col] = np.where(late, cum, cand_h)
-    saturated[c.col] = hazard.saturated
-    return t_f, integral, truncated, saturated
+    return (np.where(late, horizon, cand_t), np.where(late, cum, cand_h),
+            late, hazard.saturated)
 
 
 def _random_case(rnd):
