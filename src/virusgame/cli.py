@@ -23,7 +23,7 @@ from . import equilibrium as eq
 from .config import (ConfigError, RunConfig, _count, _number, load_config,
                      parse_config)
 from .dynamics import integrate
-from .experiments import (ExperimentSpec, _apply_sweep, _fmt, _write_csv,
+from .experiments import (ExperimentSpec, _fmt, _write_csv,
                           _write_trajectory_csv, builtin_suite, get_builtin,
                           run)
 from .oracle import empirical_infection_probability
@@ -156,13 +156,10 @@ def _load_spec(ref: str) -> ExperimentSpec:
         read = _count if param in ("n_nodes", "n_sources") else _number
         values = tuple(read(f"sweep value of {param}", v)
                        for v in doc["sweep"]["values"])
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             name=doc["name"], base=cfg.params, dist=cfg.dist,
             sweep=(param, values), outputs=tuple(doc["outputs"]), dt=cfg.dt,
             horizon=cfg.horizon, extinction_epsilon=cfg.extinction_epsilon)
-        for value in values:  # refuse a bad point now, not mid-run
-            _apply_sweep(cfg.params, param, value)
-        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment spec {ref}: {exc}") from exc
 

@@ -172,7 +172,9 @@ class Trajectory:
         return len(self.t)
 
 
-_CHECK_EVERY = 50  # most steps between two non-finite state checks
+# most steps in a batch block: keeps the block buffer of a narrow batch,
+# and the process's peak memory, below what _BLOCK_BYTES alone allows
+_BLOCK_STEPS = 50
 _BLOCK_BYTES = 1 << 19  # budget of the per-block bookkeeping buffer
 
 
@@ -319,8 +321,8 @@ class _Stepper:
         return neg_delta_s * s + lam_h * (n_s - s)
 
     def step(self, y0: np.ndarray, out: np.ndarray, s: float) -> float:
-        """Write the clipped rows one step after y0 into out and return the
-        shared source one step after s."""
+        """Write the clipped rows one step after y0 into out, x_bar kept
+        nondecreasing, and return the shared source one step after s."""
         y, acc, d = self.stage, self.k1[0], self.kj[0]
         b_acc = b = self.rhs(y0, s, self.k1)
         k = acc                                 # k1, then k2 and k3
@@ -337,6 +339,7 @@ class _Stepper:
         ends = out[:len(self.hi)]
         np.maximum(ends, 0.0, out=ends)
         np.minimum(ends, self.hi, out=ends)
+        np.maximum(out[-1], y0[-1], out=out[-1])
         s = s + b_acc * self.sixth
         return 0.0 if s <= 0.0 else min(s, self.source[2])
 
@@ -371,7 +374,9 @@ def integrate(params: SystemParams, k_protected: float,
               extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON) -> Trajectory:
     """Fixed-step RK4 integration over [0, horizon] at a given protection
     level, keeping every step.  States are clamped to their admissible
-    ranges and the cumulative count kept nondecreasing.
+    ranges and the cumulative count kept nondecreasing; a state that is
+    not finite raises RuntimeError, naming its first step, once the
+    horizon is reached.
 
     One recorded column steps in Python floats: a ``_Stepper`` step costs
     some 46 numpy calls whatever its column count, many times the
@@ -416,29 +421,27 @@ def integrate(params: SystemParams, k_protected: float,
     x = hx[0] = float(params.x0)
     s = hs[0] = float(params.s0)
     xb = hxb[0] = x
-    for i0 in range(0, n_steps, _CHECK_EVERY):  # stop soon after a blow-up
-        i1 = min(i0 + _CHECK_EVERY, n_steps)
-        for i in range(i0 + 1, i1 + 1):
-            a1, b1, c1 = rhs(x, s, xb)
-            a2, b2, c2 = rhs(x + a1 * half, s + b1 * half, xb + c1 * half)
-            a3, b3, c3 = rhs(x + a2 * half, s + b2 * half, xb + c2 * half)
-            a4, b4, c4 = rhs(x + a3 * dt, s + b3 * dt, xb + c3 * dt)
-            # y + (((k1 + k2*2) + k3*2) + k4) * (dt/6), then the clip
-            x = x + (((a1 + a2 * 2.0) + a3 * 2.0) + a4) * sixth
-            s = s + (((b1 + b2 * 2.0) + b3 * 2.0) + b4) * sixth
-            nxb = xb + (((c1 + c2 * 2.0) + c3 * 2.0) + c4) * sixth
-            x = 0.0 if x < 0.0 else x_hi if x > x_hi else x
-            s = 0.0 if s < 0.0 else n_s if s > n_s else s
-            if nxb > xb or nxb != nxb:  # np.maximum(nxb, xb)
-                xb = nxb
-            hx[i], hs[i], hxb[i] = x, s, xb
-        bad = ~np.isfinite(hist[:, i0 + 1:i1 + 1]).all(axis=0)
-        if bad.any():
-            i = i0 + 1 + int(np.argmax(bad))
-            raise RuntimeError(
-                f"non-finite state at step {i} (t={i * dt:g}) for "
-                f"k_protected={k:g} in the table with "
-                f"n_nodes={params.n_nodes:g}")
+    for i in range(1, n_steps + 1):
+        a1, b1, c1 = rhs(x, s, xb)
+        a2, b2, c2 = rhs(x + a1 * half, s + b1 * half, xb + c1 * half)
+        a3, b3, c3 = rhs(x + a2 * half, s + b2 * half, xb + c2 * half)
+        a4, b4, c4 = rhs(x + a3 * dt, s + b3 * dt, xb + c3 * dt)
+        # y + (((k1 + k2*2) + k3*2) + k4) * (dt/6), then the clip
+        x = x + (((a1 + a2 * 2.0) + a3 * 2.0) + a4) * sixth
+        s = s + (((b1 + b2 * 2.0) + b3 * 2.0) + b4) * sixth
+        nxb = xb + (((c1 + c2 * 2.0) + c3 * 2.0) + c4) * sixth
+        x = 0.0 if x < 0.0 else x_hi if x > x_hi else x
+        s = 0.0 if s < 0.0 else n_s if s > n_s else s
+        if nxb > xb or nxb != nxb:  # np.maximum(nxb, xb)
+            xb = nxb
+        hx[i], hs[i], hxb[i] = x, s, xb
+    bad = ~np.isfinite(hist).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(
+            f"non-finite state at step {i} (t={i * dt:g}) for "
+            f"k_protected={k:g} in the table with "
+            f"n_nodes={params.n_nodes:g}")
     t = np.arange(n_steps + 1) * dt
 
     i_peak = int(np.argmax(hx))
@@ -455,19 +458,12 @@ _COLUMN_FIELDS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
 
 def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
     """Per-column model constants and protection level k.  ``params`` is
-    one parameter set for every column or one per column; equal parameter
-    sets are read once."""
+    one parameter set for every column or one per column."""
     if isinstance(params, SystemParams):
-        sets, idx = [params], np.zeros(len(k), dtype=int)
-    else:
-        if len(params) != len(k):
-            raise ValueError("need one parameter set per k_protected value")
-        ids = {}
-        idx = np.array([ids.setdefault(p, len(ids)) for p in params],
-                       dtype=int)
-        sets = list(ids)
-    cols = {name: np.array([getattr(p, name) for p in sets],
-                           dtype=float)[idx]
+        params = [params] * len(k)
+    elif len(params) != len(k):
+        raise ValueError("need one parameter set per k_protected value")
+    cols = {name: np.array([getattr(p, name) for p in params], dtype=float)
             for name in _COLUMN_FIELDS}
     if not ((k >= 0) & (k <= cols["n_nodes"])).all():
         raise ValueError("k_protected must lie in [0, n_nodes]")
@@ -513,7 +509,7 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     stepper = _Stepper(c, dist, dt)
 
     # steps per block: as many as the buffer budget holds, at least one
-    rows = max(1, min(_CHECK_EVERY, _BLOCK_BYTES // (_SLOTS * 8 * n_cols) - 1))
+    rows = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_SLOTS * 8 * n_cols) - 1))
     # row 0 holds the values after the previous block; the state is stored
     # by step, as _Stepper steps it, and g and its trapezoid by slot, so no
     # operation reads and writes overlapping memory

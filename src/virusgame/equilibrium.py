@@ -74,7 +74,8 @@ def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
 
     k is an equilibrium iff a non-updater facing k-1 updaters prefers to
     update (gap(k-1) >= 0) and one facing k prefers not to (gap(k) <= 0);
-    boundaries use only the applicable condition.
+    boundaries use only the applicable condition.  The first k with
+    gap(k) <= 0, or N if there is none, always qualifies.
     """
     n = params.n_nodes
     gap = gap_table(risk, params)
@@ -84,9 +85,6 @@ def pure_ne(risk: np.ndarray, params: SystemParams) -> Pure:
         raise RuntimeError(
             f"pure NE uniqueness violated (candidates {hits}); "
             "risk table is not monotone")
-    if not hits:
-        # impossible for a nonincreasing gap; defensive
-        raise RuntimeError("no pure NE found; risk table is not monotone")
     return Pure(hits[0])
 
 

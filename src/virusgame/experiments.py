@@ -66,6 +66,8 @@ class ExperimentSpec:
                 raise ValueError(f"output {out!r} is listed twice")
         check_epsilon(self.extinction_epsilon)
         step_count(self.horizon, self.dt)
+        for value in values:  # refuse a bad point now, not mid-run
+            _apply_sweep(self.base, param, value)
 
 
 def _fmt(value) -> str:
@@ -87,6 +89,9 @@ def _apply_sweep(base: SystemParams, param: str, value):
                              f"[0, n_nodes={base.n_nodes}]")
         return base, float(value)
     if param in ("n_nodes", "n_sources"):
+        if not float(value).is_integer():
+            raise ValueError(f"{param} sweep values must be whole numbers, "
+                             f"got {value!r}")
         value = int(value)
     return dataclasses.replace(base, **{param: value}), None
 
@@ -174,8 +179,8 @@ def run(spec: ExperimentSpec,
     """Execute the sweep; rows come back sorted by sweep value.  Every risk
     table the sweep reads is built up front in one stacked batch and cached
     (one batch per CACHE_SIZE points), then the points run one after
-    another in this thread and read their tables from the cache.  When
-    out_dir is given, CSV files are written there.
+    another and read their tables from the cache.  When out_dir is given,
+    CSV files are written there.
     """
     param, values = spec.sweep
     points = [_apply_sweep(spec.base, param, v) for v in values]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import pickle
 import threading
 import warnings
 from bisect import insort
@@ -225,28 +226,24 @@ def _run_chunk(work, reps: range):
 
 
 def _child(work, reps: range, fd: int) -> None:
-    """Run one chunk in a forked child and write it to fd: three int64
-    (0, truncation count, row width) then the rows, or (1, 0, 0) then the
-    pickled exception.  Exits 0 once the write is complete; never returns."""
+    """Run one chunk in a forked child and write one pickle to fd: the
+    chunk's (rows, truncated), or the exception it raised.  Exits 0 once
+    the write is complete; never returns."""
     code = 1
     try:
         try:
-            rows, truncated = _run_chunk(work, reps)
-            payload = (np.array([0, truncated, rows.shape[1]], np.int64)
-                       .tobytes() + rows.tobytes())
+            blob = pickle.dumps(_run_chunk(work, reps))
         # anything, interrupts included, goes back to the caller, which
         # raises it; this process ends below either way
         except BaseException as exc:
-            import pickle
             try:
                 blob = pickle.dumps(exc)
                 pickle.loads(blob)
             except Exception:
                 blob = pickle.dumps(RuntimeError(
                     f"{type(exc).__name__}: {exc}"))
-            payload = np.array([1, 0, 0], np.int64).tobytes() + blob
         with open(fd, "wb") as fh:
-            fh.write(payload)
+            fh.write(blob)
         code = 0
     finally:
         os._exit(code)
@@ -298,22 +295,22 @@ def _replicate(work, n_reps: int, workers=None):
         chunks = [_run_chunk(work, range(bounds[1]))]
         for pid, r in children:
             with open(r, "rb", closefd=False) as fh:
-                payload = fh.read()
+                blob = fh.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
             if status != 0:
                 raise RuntimeError(f"oracle replication process {pid} "
                                    f"exited with status {status}")
-            failed, truncated, width = np.frombuffer(payload[:24], np.int64)
-            if failed:
-                import pickle
-                raise pickle.loads(payload[24:])
-            chunks.append((np.frombuffer(payload[24:], np.float64)
-                           .reshape(-1, width), truncated))
+            reply = pickle.loads(blob)
+            if isinstance(reply, BaseException):
+                raise reply
+            chunks.append(reply)
     finally:
         for pid, r in children:
             os.close(r)
             if pid not in reaped:
+                # imported here: its enum tables hold some 40 KB for the
+                # life of every process that imports this module
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

@@ -15,6 +15,12 @@ FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 
+SOURCE_OVERSHOOT = SystemParams(n_nodes=2, n_sources=1, beta=0.0, gamma=1e-4,
+                                delta=0.0, delta_s=0.0, lambda_influence=1.0,
+                                x0=0.0, s0=1e-12, infection_cost=1.0,
+                                update_cost=0.1)
+WEIBULL_LOW = ThresholdDistribution.weibull(0.8, 5.0)
+
 
 class TestThresholdDistribution:
     @pytest.mark.parametrize("dist", [
@@ -284,14 +290,22 @@ class TestBatchExtinctionStats:
                       delta=0.1, delta_s=25.0, lambda_influence=1e-4,
                       x0=0.0, s0=0.0, infection_cost=1.0, update_cost=0.1),
          EXP100, 10.0),
+        # a Weibull(0.8) hazard grows without bound as x_bar nears 0, so
+        # with lambda = 1 the RK4 stages overshoot the source and a step
+        # could lower x_bar: t_f = 0.2 at H = 0.2, truncated at H = 5.7
+        (SOURCE_OVERSHOOT, WEIBULL_LOW, 0.2),
+        (SOURCE_OVERSHOOT, WEIBULL_LOW, 5.7),
     ])
     def test_t_f_is_the_trajectorys(self, params, dist, horizon):
         """t_f is the first sample at or after the peak of x where
-        x <= eps, however low x dips before the peak."""
-        t_f, integral, _, _ = batch_extinction_stats(
+        x <= eps, however low x dips before the peak; a column that never
+        gets there is truncated, with t_f = horizon."""
+        t_f, integral, truncated, _ = batch_extinction_stats(
             params, np.array([0.0]), dist, horizon=horizon)
         traj = integrate(params, 0.0, dist, horizon=horizon)
-        assert t_f[0] == traj.extinction_time
+        want = traj.extinction_time
+        assert truncated[0] == (want is None)
+        assert t_f[0] == (horizon if want is None else want)
         assert abs(integral[0]
                    - infection_probability(traj, params).hazard_integral
                    ) <= 1e-10

@@ -66,6 +66,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dt"):
             small_spec(horizon=horizon, dt=dt)
 
+    @pytest.mark.parametrize("sweep, match", [
+        (("n_nodes", (30.0, 30.9)), "whole numbers, got 30.9"),
+        (("n_sources", (10.5,)), "whole numbers"),
+        (("n_nodes", (1.0,)), "n_nodes must be >= 2"),
+        (("p", (0.5, 1.5)), r"must lie in \[0,1\]"),
+        (("k_protected", (10.0, 31.0)), r"n_nodes=30\]"),
+        (("x0", (31.0,)), "x0 cannot exceed n_nodes")])
+    def test_each_sweep_value_refused_when_built(self, sweep, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(sweep=sweep)
+
 
 class TestRun:
     def test_rows_sorted_by_sweep_value(self):
@@ -151,9 +162,8 @@ class TestRun:
         assert calls == [CACHE_SIZE, 1]
 
     def test_invalid_p_value_raises(self):
-        spec = small_spec(sweep=("p", (1.5,)))
         with pytest.raises(ValueError):
-            run(spec)
+            run(small_spec(sweep=("p", (1.5,))))
 
 
 class TestBuiltinSuite:

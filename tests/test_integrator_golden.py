@@ -299,8 +299,9 @@ def reference_batch(params, k, dist, horizon, dt, eps=1e-3):
     cand_t = np.where(x <= eps, 0.0, np.nan)
     cand_h, g_prev = cand_t.copy(), c.beta * x + c.gamma * s
     for i in range(1, int(round(horizon / dt)) + 1):
-        x, s, xb = _reference_step(x, s, xb, dt, c, c.k, hazard)
+        x, s, nxb = _reference_step(x, s, xb, dt, c, c.k, hazard)
         x, s = np.clip(x, 0.0, x_hi), np.clip(s, 0.0, c.n_sources)
+        xb = np.maximum(nxb, xb)
         g = c.beta * x + c.gamma * s
         cum = cum + 0.5 * dt * (g_prev + g)
         g_prev = g
