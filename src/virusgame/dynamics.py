@@ -204,11 +204,6 @@ def _constant_hazard(dist: ThresholdDistribution) -> Optional[float]:
     return h if math.isfinite(h) else None
 
 
-class _SourceSplit(Exception):
-    """A stage saw some x_bar < 0, where the hazard is 0, not the constant
-    the shared source steps with."""
-
-
 class _Stepper:
     """Fixed-step RK4 for a stack of columns of the state (x, s, x_bar),
     the engine of ``batch_extinction_stats``.
@@ -219,13 +214,7 @@ class _Stepper:
     exponential hazard is the constant 1/mean where every column has
     x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
     hazard keeps the last finite value ``h_last`` and sets ``saturated``.
-
-    A constant hazard leaves ds/dt = -delta_s*s + (lambda*h)*(n_s - s)
-    reading neither x nor k, so columns with the same source constants
-    carry one s.  When every column does, s steps as a Python float and
-    only the rows (x, x_bar) as arrays, until a stage with some x_bar < 0
-    (a zero hazard there) splits the source; the block is then redone, and
-    the rest of the call run, with a source per column.
+    ``batch_extinction_stats`` gives it each distinct column once.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
@@ -233,44 +222,21 @@ class _Stepper:
         self.c, self.dist = c, dist
         self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
         self.h_exp = _constant_hazard(dist)
-        src = np.array([c.n_sources, c.delta_s, c.lambda_influence, c.s0])
-        bits = src.view(np.int64)
-        self.shared = self.h_exp is not None and (bits == bits[:, :1]).all()
-        if self.shared:  # -delta_s, lambda*h and n_s as floats
-            n_s, delta_s, lam = src[:3, 0].tolist()
-            self.source = (-delta_s, lam * self.h_exp, n_s)
         n = len(c.k)
         self.h_last, self.saturated = np.zeros(n), np.zeros(n, bool)
         self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
         self.caps = np.array([c.n_nodes - c.k, c.n_sources])
+        # bounds of the clipped rows x and s
+        self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0), c.n_sources])
         self.lam_h = c.lambda_influence * (self.h_exp or 0.0)
         self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
-        self.lamh = np.empty(n)
+        self.lamh, self.stage = np.empty(n), np.empty((3, n))
         self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
                       self.room[0], self.room[1])
-        self._layout()
-
-    def _layout(self) -> None:
-        """Bounds, stage buffers and right-hand side for the shared or the
-        per-column source."""
-        c, n = self.c, len(self.c.k)
-        m = 2 if self.shared else 3  # state rows in arrays
-        # bounds of the clipped rows: x, and s where it is per column
-        self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0),
-                            c.n_sources])[:m - 1]
-        self.stage = np.empty((m, n))
-        if self.shared:
-            self.rhs = self._rhs_shared
-            # beta, gamma, -delta and N - k
-            self.x_rates = (*self.rates[0], self.rates[1, 0], self.caps[0])
-            # derivatives (dx, dx_bar = force) of the rows (x, x_bar)
-            self.k1, self.kj = ((d, d[0], d[1]) for d in np.empty((2, 2, n)))
-        else:
-            self.rhs = self._rhs
-            # derivatives (dx, ds, dx_bar = force, activation term) and
-            # views into them
-            self.k1, self.kj = ((d[:3], d[2], d[3], d[2:], d[:2])
-                                for d in np.empty((2, 4, n)))
+        # derivatives (dx, ds, dx_bar = force, activation term) and views
+        # into them
+        self.k1, self.kj = ((d[:3], d[2], d[3], d[2:], d[:2])
+                            for d in np.empty((2, 4, n)))
 
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
         if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
@@ -283,11 +249,10 @@ class _Stepper:
         self.h_last = h
         return np.multiply(self.c.lambda_influence, h, out=self.lamh)
 
-    def _rhs(self, y: np.ndarray, s: float, d: tuple) -> float:
+    def _rhs(self, y: np.ndarray, d: tuple) -> None:
         """d = (dx, ds, dx_bar = force) at the state y, where
         force = (beta*x + gamma*s) * max(N-k-x, 0), dx = -delta*x + force
-        and ds = -delta_s*s + (lambda*h)*(n_s-s); s is per column, so the
-        float source s stays 0.0."""
+        and ds = -delta_s*s + (lambda*h)*(n_s-s)."""
         _, force, act, tail, head = d
         bx, gs, decay, pool, free_s = self.views
         xs = y[:2]
@@ -298,67 +263,33 @@ class _Stepper:
         np.multiply(force, pool, out=force)
         np.multiply(self._lam_hazard(y[2]), free_s, out=act)
         np.add(decay, tail, out=head)
-        return 0.0
 
-    def _rhs_shared(self, y: np.ndarray, s: float, d: tuple) -> float:
-        """d = (dx, force) as in ``_rhs`` at the rows y = (x, x_bar) and the
-        shared source s; returns ds."""
-        x, x_bar = y
-        if not x_bar.min() >= 0.0:
-            raise _SourceSplit
-        _, dx, force = d
-        _, gs, _, pool, _ = self.views
-        beta, gamma, neg_delta, cap = self.x_rates
-        np.multiply(beta, x, out=force)
-        np.multiply(gamma, s, out=gs)
-        np.add(force, gs, out=force)
-        np.subtract(cap, x, out=pool)
-        np.maximum(pool, 0.0, out=pool)
-        np.multiply(force, pool, out=force)
-        np.multiply(neg_delta, x, out=dx)
-        np.add(dx, force, out=dx)
-        neg_delta_s, lam_h, n_s = self.source
-        return neg_delta_s * s + lam_h * (n_s - s)
-
-    def step(self, y0: np.ndarray, out: np.ndarray, s: float) -> float:
-        """Write the clipped rows one step after y0 into out, x_bar kept
-        nondecreasing, and return the shared source one step after s."""
+    def step(self, y0: np.ndarray, out: np.ndarray) -> None:
+        """Write the clipped state one step after y0 into out, x_bar kept
+        nondecreasing."""
         y, acc, d = self.stage, self.k1[0], self.kj[0]
-        b_acc = b = self.rhs(y0, s, self.k1)
+        self._rhs(y0, self.k1)
         k = acc                                 # k1, then k2 and k3
         for c, w in ((self.half, 2.0), (self.half, 2.0), (self.dt, 1.0)):
             np.multiply(k, c, out=y)
             np.add(y0, y, out=y)
-            b = self.rhs(y, s + b * c, self.kj)  # k2, k3, k4
+            self._rhs(y, self.kj)               # k2, k3, k4
             # acc = ((k1 + 2k2) + 2k3) + k4
             np.add(acc, d if w == 1.0 else np.multiply(d, w, out=y), out=acc)
-            b_acc, k = b_acc + b * w, d
+            k = d
         np.multiply(acc, self.sixth, out=acc)
         np.add(y0, acc, out=out)
         # np.clip's bits (NaN stays, -0.0 becomes 0.0) in two cheaper calls
-        ends = out[:len(self.hi)]
+        ends = out[:2]
         np.maximum(ends, 0.0, out=ends)
         np.minimum(ends, self.hi, out=ends)
-        np.maximum(out[-1], y0[-1], out=out[-1])
-        s = s + b_acc * self.sixth
-        return 0.0 if s <= 0.0 else min(s, self.source[2])
+        np.maximum(out[2], y0[2], out=out[2])
 
     def advance(self, states: np.ndarray, i0: int) -> None:
         """Step states[0] into states[1:] (steps i0+1, i0+2, ...); raise
         RuntimeError at the first state that is not finite."""
-        if self.shared:
-            try:
-                path = [float(states[0, 1, 0])]
-                for j in range(1, len(states)):
-                    path.append(self.step(states[j - 1, ::2],
-                                          states[j, ::2], path[-1]))
-                states[1:, 1] = np.array(path[1:])[:, None]
-            except _SourceSplit:  # redo the block, a source per column
-                self.shared = False
-                self._layout()
-        if not self.shared:
-            for j in range(1, len(states)):
-                self.step(states[j - 1], states[j], 0.0)
+        for j in range(1, len(states)):
+            self.step(states[j - 1], states[j])
         if not np.isfinite(states[1:]).all():
             j, col = np.argwhere(~np.isfinite(states[1:]).all(axis=1))[0]
             i = i0 + 1 + j
@@ -470,6 +401,26 @@ def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(**cols, k=k)
 
 
+def _distinct_columns(c: SimpleNamespace):
+    """The constants of the first column of each distinct trajectory, in
+    input order, and each column's index among them.  n_nodes and k enter
+    the ODE only as the cap N - k, so a column is keyed on the bytes of
+    N - k and the other eight constants; a -0.0 and a 0.0 differ.  A dict
+    of one key at a time, not ``np.unique``: its sort and its keys held
+    at once raised a sweep's peak memory by about 0.2 MB."""
+    keys = np.column_stack([c.n_nodes - c.k]
+                           + [getattr(c, name) for name in _COLUMN_FIELDS[1:]])
+    ids, first = {}, []
+    inverse = np.empty(len(keys), np.intp)
+    for i, key in enumerate(map(bytes, keys)):
+        if key not in ids:
+            ids[key] = len(first)
+            first.append(i)
+        inverse[i] = ids[key]
+    return (SimpleNamespace(**{name: v[first] for name, v in vars(c).items()}),
+            inverse)
+
+
 # floats a batch block holds per column and step: the state (x, s, x_bar),
 # g = beta*x + gamma*s and the running trapezoid of g
 _SLOTS = 5
@@ -488,12 +439,14 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     after the peak of x where x <= the extinction epsilon; a column that
     never gets there is truncated, with t_f = horizon.
 
-    ``params`` is one SystemParams for every column, or one per column;
-    the columns run side by side to the horizon, each bit-identical to a
-    call of its own.  This is the engine behind the k -> P_i(k) risk
-    tables; no trajectory is kept.  After each block of steps the
-    trapezoid, running maximum and extinction candidates catch up on all
-    its steps at once.
+    ``params`` is one SystemParams for every column, or one per column.
+    Each distinct column (N - k and the other constants, bit for bit) is
+    stepped once and its results copied to its repeats, so the tables of
+    a sweep over N share their trajectories.  The distinct columns run
+    side by side to the horizon, each bit-identical to a call of its own.
+    This is the engine behind the k -> P_i(k) risk tables; no trajectory
+    is kept.  After each block of steps the trapezoid, running maximum
+    and extinction candidates catch up on all its steps at once.
     """
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
@@ -502,9 +455,10 @@ def batch_extinction_stats(params, k_values: np.ndarray,
         raise ValueError(f"k_values must be one-dimensional, got shape "
                          f"{k_values.shape}")
     c = _column_constants(params, k_values)
-    n_cols = len(c.k)
-    if not n_cols:
+    if not len(c.k):
         return np.empty(0), np.empty(0), np.zeros(0, bool), np.zeros(0, bool)
+    c, inverse = _distinct_columns(c)
+    n_cols = len(c.k)
     eps = extinction_epsilon
     stepper = _Stepper(c, dist, dt)
 
@@ -554,5 +508,6 @@ def batch_extinction_stats(params, k_values: np.ndarray,
         states[0], book[:, 0] = states[b], book[:, b]
 
     late = np.isnan(cand_t)
-    return (np.where(late, horizon, cand_t),
-            np.where(late, book[1, 0], cand_h), late, stepper.saturated)
+    return tuple(a[inverse] for a in (
+        np.where(late, horizon, cand_t), np.where(late, book[1, 0], cand_h),
+        late, stepper.saturated))

@@ -8,7 +8,6 @@ probability of being infected at least once before virus extinction is
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -24,7 +23,6 @@ CACHE_SIZE = 64  # risk tables kept for reuse
 # risk tables by (cost-free params, dist, horizon, dt, epsilon), least
 # recently used first
 _CACHE: OrderedDict = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,10 @@ def risk_profiles(params_list: Sequence[SystemParams],
     keys = [(dataclasses.replace(p, infection_cost=0.0, update_cost=0.0),
              dist, horizon, dt, extinction_epsilon) for p in params_list]
     found = {}
-    with _CACHE_LOCK:
-        for key in keys:
-            if key in _CACHE:
-                _CACHE.move_to_end(key)
-                found[key] = _CACHE[key]
+    for key in keys:
+        if key in _CACHE:
+            _CACHE.move_to_end(key)
+            found[key] = _CACHE[key]
     missing = [key for key in dict.fromkeys(keys) if key not in found]
     if missing:
         sizes = [key[0].n_nodes + 1 for key in missing]
@@ -118,9 +115,8 @@ def risk_profiles(params_list: Sequence[SystemParams],
             table = -np.expm1(-part)
             table.flags.writeable = False
             found[key] = table
-        with _CACHE_LOCK:
-            for key in missing:
-                _CACHE[key] = found[key]
-            while len(_CACHE) > CACHE_SIZE:
-                _CACHE.popitem(last=False)
+        for key in missing:
+            _CACHE[key] = found[key]
+        while len(_CACHE) > CACHE_SIZE:
+            _CACHE.popitem(last=False)
     return [found[key] for key in keys]

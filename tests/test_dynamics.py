@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
-                                ThresholdDistribution, batch_extinction_stats,
-                                integrate, step_count)
+                                ThresholdDistribution, _Stepper,
+                                batch_extinction_stats, integrate, step_count)
 from virusgame.risk import infection_probability
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
@@ -20,6 +20,9 @@ SOURCE_OVERSHOOT = SystemParams(n_nodes=2, n_sources=1, beta=0.0, gamma=1e-4,
                                 x0=0.0, s0=1e-12, infection_cost=1.0,
                                 update_cost=0.1)
 WEIBULL_LOW = ThresholdDistribution.weibull(0.8, 5.0)
+# FIG3 with beta*N above delta from N=20 on: its tables hold columns that
+# go extinct and columns that truncate
+CAP_ROSTER = dataclasses.replace(FIG3, beta=5e-3, lambda_influence=1e-3)
 
 
 class TestThresholdDistribution:
@@ -309,6 +312,49 @@ class TestBatchExtinctionStats:
         assert abs(integral[0]
                    - infection_probability(traj, params).hazard_integral
                    ) <= 1e-10
+
+    @pytest.mark.parametrize("dist", [
+        EXP100, ThresholdDistribution.uniform(0.0, 40.0),
+        ThresholdDistribution.weibull(0.7, 50.0),
+        ThresholdDistribution.weibull(2.5, 300.0)])
+    def test_column_depends_on_n_minus_k_only(self, dist):
+        """n_nodes and k enter a column only as the cap N - k: the table
+        for N=20 is the last 21 entries of the table for N=40, bit for bit,
+        built alone or stacked."""
+        small, big = (dataclasses.replace(CAP_ROSTER, n_nodes=n)
+                      for n in (20, 40))
+        lone = [batch_extinction_stats(p, np.arange(p.n_nodes + 1), dist,
+                                       horizon=200.0) for p in (small, big)]
+        stacked = batch_extinction_stats(
+            [small] * 21 + [big] * 41,
+            np.concatenate([np.arange(21), np.arange(41)]), dist,
+            horizon=200.0)
+        for got, a, b in zip(stacked, *lone):
+            assert got.tobytes() == np.concatenate([a, b]).tobytes()
+            assert a.tobytes() == b[20:].tobytes()
+
+    @pytest.mark.parametrize("tables,width", [
+        # N=20 and N=40 share the caps 0..20
+        (((20, 0.0), (40, 0.0)), 41),
+        # x0 = -0.0 and x0 = 0.0 differ in their bits
+        (((10, -0.0), (10, 0.0)), 22),
+    ], ids=["shared_caps", "signed_zero_x0"])
+    def test_distinct_columns_step_once(self, tables, width, monkeypatch):
+        widths = []
+        init = _Stepper.__init__
+
+        def spy(self, c, *args):
+            widths.append(len(c.k))
+            init(self, c, *args)
+
+        monkeypatch.setattr(_Stepper, "__init__", spy)
+        params = [dataclasses.replace(CAP_ROSTER, n_nodes=n, x0=x0)
+                  for n, x0 in tables]
+        batch_extinction_stats(
+            [p for p in params for _ in range(p.n_nodes + 1)],
+            np.concatenate([np.arange(p.n_nodes + 1) for p in params]),
+            EXP100, horizon=10.0)
+        assert widths == [width]
 
 
 @st.composite

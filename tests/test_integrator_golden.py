@@ -10,12 +10,12 @@ unprotected populations, a nonzero initial infection, a saturating uniform
 hazard, signed-zero initial values, a stiff case (delta * dt = 10) in
 which an RK4 stage drives the cumulative count below zero, and stacked
 multi-table batches whose columns go extinct, truncate at the horizon and
-saturate, with one source shared by every column, one that a stage
-splits, and a source per column.  The CSV files written from
-``integrate``'s trajectories (three builtin sweeps and two ``virusgame
-simulate`` runs) and two equilibrium sweeps are hashed as well.  A plain
-per-step RK4, one step and one bookkeeping update at a time, serves as
-the reference for both integrators on a wider set of random cases.
+saturate, and whose tables share or differ in their source constants.
+The CSV files written from ``integrate``'s trajectories (three builtin
+sweeps and two ``virusgame simulate`` runs) and two equilibrium sweeps are
+hashed as well.  A plain per-step RK4, one step and one bookkeeping update
+at a time, serves as the reference for both integrators on a wider set of
+random cases.
 """
 
 import dataclasses
@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 
 from virusgame.cli import main
-from virusgame.dynamics import (SystemParams, ThresholdDistribution, _Stepper,
-                                _column_constants,
-                                batch_extinction_stats, integrate)
+from virusgame.dynamics import (SystemParams, ThresholdDistribution,
+                                _column_constants, batch_extinction_stats,
+                                integrate)
 from virusgame.experiments import get_builtin, run
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
@@ -93,16 +93,17 @@ BATCH_CASES = {
         SATURATING, np.arange(0, 101, 5), UNIF5, 200.0, 0.1),
     "signed_zero_initials": (
         SIGNED_ZERO, np.arange(0, 101, 25), EXP100, 50.0, 0.1),
-    # one shared source for three tables: two go extinct at different
-    # steps, and the supercritical one truncates at the horizon
+    # three tables of one set of source constants: two go extinct at
+    # different steps, and the supercritical one truncates at the horizon
     "one_source_group": (
         [dataclasses.replace(SECTION_IV, n_nodes=20)] * 21 + [SECTION_IV] * 61
         + [dataclasses.replace(SECTION_IV, n_nodes=30, beta=1e-2)] * 31,
         np.concatenate([np.arange(21), np.arange(61), np.arange(31)]),
         EXP100, 400.0, 0.1),
-    # a shared source that a negative x_bar stage splits in the first block
+    # a negative x_bar stage in the first block: the exponential hazard
+    # falls back to the distribution's
     "stiff_alone": (STIFF, np.arange(0, 101, 10), EXP100, 100.0, 0.1),
-    # source constants that differ between tables: a source per column
+    # two tables that differ in s0 only
     "s0_differs": (
         [SECTION_IV] * 61 + [dataclasses.replace(SECTION_IV, s0=5.0)] * 61,
         np.concatenate([np.arange(61), np.arange(61)]),
@@ -211,31 +212,25 @@ def test_stiff_case_drives_a_stage_below_zero(monkeypatch):
     assert min(seen) < 0.0
 
 
-@pytest.mark.parametrize("name,shared,split", [
-    ("one_source_group", True, False),
-    ("stiff_alone", True, True),
-    ("s0_differs", False, False),
+@pytest.mark.parametrize("name,evaluated", [
+    ("one_source_group", False),
+    ("stiff_alone", True),
+    ("s0_differs", False),
 ])
-def test_source_path_taken(name, shared, split, monkeypatch):
-    """Which batches step one shared source, and which fall back to a
-    source per column: STIFF's negative x_bar stage evaluates the hazard,
-    a batch whose columns all share exponential source constants never
-    does."""
-    calls = {"hazard": 0, "shared": 0}
-    hazard, rhs_shared = ThresholdDistribution.hazard, _Stepper._rhs_shared
+def test_hazard_fallback_taken(name, evaluated, monkeypatch):
+    """Which exponential batches evaluate the distribution's hazard:
+    STIFF's negative x_bar stage does, a batch whose x_bar never dips
+    below zero steps with the constant 1/mean and never does."""
+    calls = []
+    hazard = ThresholdDistribution.hazard
 
-    def spy_hazard(self, x):
-        calls["hazard"] += 1
+    def spy(self, x):
+        calls.append(1)
         return hazard(self, x)
 
-    def spy_shared(self, *args):
-        calls["shared"] += 1
-        return rhs_shared(self, *args)
-
-    monkeypatch.setattr(ThresholdDistribution, "hazard", spy_hazard)
-    monkeypatch.setattr(_Stepper, "_rhs_shared", spy_shared)
+    monkeypatch.setattr(ThresholdDistribution, "hazard", spy)
     batch_result(name)
-    assert (calls["shared"] > 0, calls["hazard"] > 0) == (shared, split)
+    assert bool(calls) == evaluated
 
 
 class _ReferenceHazard:
@@ -370,7 +365,7 @@ def test_matches_per_step_reference():
 # another name), and `virusgame simulate` at a fractional protection count;
 # fig8_pstar_vs_cost pins the mixed solver's p* on the Section IV table;
 # fig7_gain (fig6's p* column and the gain) pins the largest batch of the
-# builtins, 5,510 columns of one shared source at horizon 1000
+# builtins, 5,510 columns, 1,001 distinct, at horizon 1000
 SWEEP_CSV_GOLDEN = {
     "fig3_infection":
         "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",
