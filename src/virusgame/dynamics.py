@@ -128,6 +128,13 @@ class SystemParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
+        for name in ("n_nodes", "n_sources"):
+            count = getattr(self, name)
+            if not float(count).is_integer():
+                raise ValueError(f"{name} must be a whole number, "
+                                 f"got {count!r}")
+            # a count sizes tables and ranges: 100.0 is stored as 100
+            object.__setattr__(self, name, int(count))
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
         if self.n_sources < 1:
@@ -421,6 +428,16 @@ def _distinct_columns(c: SimpleNamespace):
             inverse)
 
 
+def trapezoid(g: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """Running trapezoid of g, sampled every dt along axis 0, continuing
+    the sum in out[0]: out[i] = out[i-1] + (0.5*dt)*(g[i-1] + g[i]), added
+    row after row.  The one quadrature of the hazard beta*X + gamma*S, for
+    risk tables and trajectories alike.  Returns out."""
+    np.add(g[:-1], g[1:], out=out[1:])
+    np.multiply(0.5 * dt, out[1:], out=out[1:])
+    return np.add.accumulate(out, axis=0, out=out)
+
+
 # floats a batch block holds per column and step: the state (x, s, x_bar),
 # g = beta*x + gamma*s and the running trapezoid of g
 _SLOTS = 5
@@ -479,15 +496,11 @@ def batch_extinction_stats(params, k_values: np.ndarray,
         b = min(rows, n_steps - i0)
         stepper.advance(states[:b + 1], i0)
         x, g, run = states[1:b + 1, 0], book[0, :b + 1], book[1, :b + 1]
-        # trapezoid, summed step by step (row 0 holds the sum so far):
-        # cum_i = cum_{i-1} + 0.5*dt*(g_{i-1} + g_i)
+        # g = beta*x + gamma*s, and its trapezoid continued from row 0
         np.multiply(c.beta, x, out=g[1:])
         np.multiply(c.gamma, states[1:b + 1, 1], out=run[1:])
         np.add(g[1:], run[1:], out=g[1:])
-        np.add(g[:-1], g[1:], out=run[1:])
-        np.multiply(0.5 * dt, run[1:], out=run[1:])
-        for j in range(1, b + 1):
-            np.add(run[j - 1], run[j], out=run[j])
+        trapezoid(g, dt, run)
         # x sets a new running maximum in this block iff the block maximum
         # beats the old one; its first occurrence is the last new maximum,
         # which drops the extinction candidate.  The candidate is the first

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, SystemParams, ThresholdDistribution,
-                       Trajectory, batch_extinction_stats)
+                       Trajectory, batch_extinction_stats, trapezoid)
 
 CACHE_SIZE = 64  # risk tables kept for reuse
 
@@ -34,30 +34,39 @@ class InfectionRisk:
 
 
 def _hazard_mass(traj: Trajectory, params: SystemParams):
-    """(t_f, truncated, cum): the end of the epidemic and the trapezoid
-    integral of the hazard beta*X + gamma*S from 0 to every sample time.
+    """(i_f, truncated, cum): the sample index of t_f, the end of the
+    epidemic, and the trapezoid integral of the hazard beta*X + gamma*S
+    from 0 to every sample, summed as a risk table sums it.
 
-    t_f is the extinction time; if the trajectory never went extinct it is
-    the horizon end, and truncated is set.
+    t_f is the extinction time, which must be a sample time; if the
+    trajectory never went extinct it is the horizon end, and truncated is
+    set.  Negative samples are refused.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
+    if (traj.x < 0).any() or (traj.s < 0).any():
+        raise ValueError("trajectory contains negative samples")
     truncated = traj.extinction_time is None
-    t_f = float(traj.t[-1]) if truncated else traj.extinction_time
-    hazard = params.beta * traj.x + params.gamma * traj.s
-    seg = 0.5 * np.diff(traj.t) * (hazard[:-1] + hazard[1:])
-    return t_f, truncated, np.concatenate([[0.0], np.cumsum(seg)])
+    t_f = traj.t[-1] if truncated else traj.extinction_time
+    hits = np.flatnonzero(traj.t == t_f)
+    if not hits.size:
+        raise ValueError(f"extinction_time {t_f!r} is not a sample time")
+    # the grid is uniform: every step is t[1] - t[0]
+    dt = traj.t[1] - traj.t[0] if len(traj) > 1 else 0.0
+    cum = trapezoid(params.beta * traj.x + params.gamma * traj.s, dt,
+                    np.zeros(len(traj)))
+    return int(hits[0]), truncated, cum
 
 
 def infection_probability(traj: Trajectory, params: SystemParams) -> InfectionRisk:
     """P(infected before extinction) by trapezoidal quadrature of the hazard
-    over [0, t_f]; flagged truncated when t_f is the horizon end."""
-    if (traj.x < 0).any() or (traj.s < 0).any():
-        raise ValueError("trajectory contains negative samples")
-    t_f, truncated, cum = _hazard_mass(traj, params)
-    integral = float(np.interp(t_f, traj.t, cum))
+    over [0, t_f]; flagged truncated when t_f is the horizon end.  Equal,
+    bit for bit, to the risk table's entry for the same k."""
+    i_f, truncated, cum = _hazard_mass(traj, params)
+    integral = float(cum[i_f])
     return InfectionRisk(p_infect=float(-np.expm1(-integral)),
-                         hazard_integral=integral, t_f=t_f, truncated=truncated)
+                         hazard_integral=integral, t_f=float(traj.t[i_f]),
+                         truncated=truncated)
 
 
 def remaining_risk(traj: Trajectory, params: SystemParams) -> np.ndarray:
@@ -66,9 +75,9 @@ def remaining_risk(traj: Trajectory, params: SystemParams) -> np.ndarray:
     Starts at the full infection probability and decays to zero as the
     remaining hazard mass vanishes; samples past t_f are exactly zero.
     """
-    t_f, _, cum = _hazard_mass(traj, params)
-    tail = np.maximum(np.interp(t_f, traj.t, cum) - cum, 0.0)
-    tail[traj.t > t_f + 1e-12] = 0.0
+    i_f, _, cum = _hazard_mass(traj, params)
+    tail = cum[i_f] - cum
+    tail[i_f + 1:] = 0.0
     return -np.expm1(-tail)
 
 
@@ -110,11 +119,11 @@ def risk_profiles(params_list: Sequence[SystemParams],
             [key[0] for key, n in zip(missing, sizes) for _ in range(n)],
             np.concatenate([np.arange(n) for n in sizes]), dist,
             horizon=horizon, dt=dt, extinction_epsilon=extinction_epsilon)
-        for key, part in zip(missing,
-                             np.split(integral, np.cumsum(sizes)[:-1])):
-            table = -np.expm1(-part)
+        start = 0
+        for key, n in zip(missing, sizes):
+            table = -np.expm1(-integral[start:start + n])
             table.flags.writeable = False
-            found[key] = table
+            found[key], start = table, start + n
         for key in missing:
             _CACHE[key] = found[key]
         while len(_CACHE) > CACHE_SIZE:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
                                 ThresholdDistribution, _Stepper,
                                 batch_extinction_stats, integrate, step_count)
-from virusgame.risk import infection_probability
+from virusgame.risk import infection_probability, risk_profile
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -93,6 +93,20 @@ class TestSystemParams:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             dataclasses.replace(FIG3, n_nodes=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_nodes", 30.5), ("n_sources", 2.5)])
+    def test_rejects_fractional_counts(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be a whole number, got {value}"):
+            dataclasses.replace(FIG3, **{field: value})
+
+    def test_integral_float_counts_are_stored_as_ints(self):
+        params = dataclasses.replace(FIG3, n_nodes=30.0, n_sources=10.0,
+                                     s0=1.0)
+        assert type(params.n_nodes) is type(params.n_sources) is int
+        assert (params.n_nodes, params.n_sources) == (30, 10)
+        assert len(risk_profile(params, EXP100, horizon=10.0)) == 31
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -309,9 +323,8 @@ class TestBatchExtinctionStats:
         want = traj.extinction_time
         assert truncated[0] == (want is None)
         assert t_f[0] == (horizon if want is None else want)
-        assert abs(integral[0]
-                   - infection_probability(traj, params).hazard_integral
-                   ) <= 1e-10
+        risk = infection_probability(traj, params)
+        assert integral[0] == risk.hazard_integral
 
     @pytest.mark.parametrize("dist", [
         EXP100, ThresholdDistribution.uniform(0.0, 40.0),
@@ -394,8 +407,7 @@ def test_batch_column_matches_integrate(case):
     want = traj.extinction_time
     assert truncated[0] == (want is None)
     assert t_f[0] == (horizon if want is None else want)
-    assert abs(integral[0]
-               - infection_probability(traj, params).hazard_integral) <= 1e-10
+    assert integral[0] == infection_probability(traj, params).hazard_integral
 
 
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])

@@ -11,11 +11,10 @@ hazard, signed-zero initial values, a stiff case (delta * dt = 10) in
 which an RK4 stage drives the cumulative count below zero, and stacked
 multi-table batches whose columns go extinct, truncate at the horizon and
 saturate, and whose tables share or differ in their source constants.
-The CSV files written from ``integrate``'s trajectories (three builtin
-sweeps and two ``virusgame simulate`` runs) and two equilibrium sweeps are
-hashed as well.  A plain per-step RK4, one step and one bookkeeping update
-at a time, serves as the reference for both integrators on a wider set of
-random cases.
+The CSV files of every builtin sweep, the three fig8 ratio variants
+included, and of two ``virusgame simulate`` runs are hashed as well.  A
+plain per-step RK4, one step and one bookkeeping update at a time, serves
+as the reference for both integrators on a wider set of random cases.
 """
 
 import dataclasses
@@ -30,7 +29,7 @@ from virusgame.cli import main
 from virusgame.dynamics import (SystemParams, ThresholdDistribution,
                                 _column_constants, batch_extinction_stats,
                                 integrate)
-from virusgame.experiments import get_builtin, run
+from virusgame.experiments import builtin_suite, fig8_ratio_variants, run
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
                     delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
@@ -360,24 +359,37 @@ def test_matches_per_step_reference():
             assert (traj.extinction_time, traj.hazard_saturated) == (t_f, sat)
 
 
-# CSV bytes written from integrate's trajectories: the builtin sweeps that
-# record trajectories or read one (fig4_sources is fig3_infection under
-# another name), and `virusgame simulate` at a fractional protection count;
-# fig8_pstar_vs_cost pins the mixed solver's p* on the Section IV table;
-# fig7_gain (fig6's p* column and the gain) pins the largest batch of the
-# builtins, 5,510 columns, 1,001 distinct, at horizon 1000
+# CSV bytes of every builtin sweep and the three fig8 ratio variants, the
+# 18 files `virusgame sweep` writes for them, and of `virusgame simulate` at
+# a fractional protection count.  fig3, fig4 and fig9 write integrate's
+# trajectories; fig5 reads P_i from one; fig6, fig7 and fig8 pin the mixed
+# solver's p* on Section IV tables, fig7 (5,510 columns, 1,001 distinct, at
+# horizon 1000) the largest batch of the builtins
 SWEEP_CSV_GOLDEN = {
     "fig3_infection":
         "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",
+    "fig4_sources":
+        "76a66a6b900f59e9b8087708f826eaaac7d4fceb449727f7a4282e404bb8080e",
     "fig5_infection_prob":
         "8a944f3815627104708ab1594e9eb058452af41a95b2d92d4b24f77577520592",
+    "fig6_pstar_vs_n":
+        "4e513d8d539a18f35eca01d6eabe261a574f4bba9f5bfe648cdd61aa9173aebd",
     "fig7_gain":
         "9eab4f9f1b385bb85ea421c1b6d7460d6b72b1c14ae93c1537ad7b5653080be2",
     "fig8_pstar_vs_cost":
         "41aba8026a5a8b7276db97ac08091e16fbec8330cf68f10fad7ccd0978f21af0",
+    "fig8_pstar_vs_cost_beta_0.0001":
+        "e27c225b43ed4c16e527d4c85a000a87d3eb694063e03945c99518532cab63d6",
+    "fig8_pstar_vs_cost_beta_0.0002":
+        "da0d5821403c71fa2f3f20b2df770935df8fc6ee34b70d2b2a4472a1e0a4c22e",
+    "fig8_pstar_vs_cost_beta_0.0003":
+        "03519b0db047795e1a00a1c25e69112726c8de48b8f202293ae293cf7871c6c9",
     "fig9_x_vs_cost":
         "2096f9fb6e85136a521068fc82374978fb0aa7cfd464bd4bdbdfa882620ef29b",
 }
+
+BUILTINS = {spec.name: spec
+            for spec in builtin_suite() + fig8_ratio_variants()}
 
 SIMULATE_CONFIGS = {
     "exponential": dict(dataclasses.asdict(FIG3), threshold_dist={
@@ -404,9 +416,9 @@ def _files_digest(directory):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_CSV_GOLDEN))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_sweep_csvs_are_pinned(name, tmp_path):
-    run(get_builtin(name), str(tmp_path))
+    run(BUILTINS[name], str(tmp_path))
     assert _files_digest(tmp_path) == SWEEP_CSV_GOLDEN[name]
 
 

@@ -60,8 +60,15 @@ class TestInfectionProbability:
 
     def test_negative_samples_rejected(self):
         traj = _flat_trajectory(-1.0, 0.0, 10.0, 11)
-        with pytest.raises(ValueError):
-            infection_probability(traj, FIG3)
+        for read in (infection_probability, remaining_risk):
+            with pytest.raises(ValueError, match="negative samples"):
+                read(traj, FIG3)
+
+    def test_extinction_off_the_grid_rejected(self):
+        traj = _flat_trajectory(1.0, 0.0, 10.0, 11, extinct=2.5)
+        for read in (infection_probability, remaining_risk):
+            with pytest.raises(ValueError, match="not a sample time"):
+                read(traj, FIG3)
 
     def test_no_contact_no_risk(self):
         params = dataclasses.replace(FIG3, beta=0.0, gamma=0.0)
@@ -112,7 +119,7 @@ class TestRiskProfile:
         for k in [0, 10, 50, 99]:
             traj = integrate(FIG3, float(k), EXP100, horizon=300.0, dt=0.1)
             direct = infection_probability(traj, FIG3).p_infect
-            assert table[k] == pytest.approx(direct, abs=1e-10)
+            assert table[k] == direct
 
     def test_memoized_across_costs(self):
         a = risk_profile(FIG3, EXP100, horizon=200.0)
