@@ -20,8 +20,7 @@ import warnings
 from typing import Optional, Sequence
 
 from . import equilibrium as eq
-from .config import (ConfigError, RunConfig, _count, _number, load_config,
-                     parse_config)
+from .config import ConfigError, RunConfig, _number, load_config, parse_config
 from .dynamics import integrate
 from .experiments import (ExperimentSpec, _fmt, _write_csv,
                           _write_trajectory_csv, builtin_suite, get_builtin,
@@ -151,15 +150,13 @@ def _load_spec(ref: str) -> ExperimentSpec:
     try:
         if not isinstance(doc, dict):
             raise ConfigError("a spec must be a JSON object")
-        cfg = parse_config(doc.get("config", {}))
+        config = parse_config(doc.get("config", {}))
         param = doc["sweep"]["param"]
-        read = _count if param in ("n_nodes", "n_sources") else _number
-        values = tuple(read(f"sweep value of {param}", v)
+        values = tuple(_number(f"sweep value of {param}", v)
                        for v in doc["sweep"]["values"])
-        return ExperimentSpec(
-            name=doc["name"], base=cfg.params, dist=cfg.dist,
-            sweep=(param, values), outputs=tuple(doc["outputs"]), dt=cfg.dt,
-            horizon=cfg.horizon, extinction_epsilon=cfg.extinction_epsilon)
+        return ExperimentSpec(name=doc["name"], config=config,
+                              sweep=(param, values),
+                              outputs=tuple(doc["outputs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment spec {ref}: {exc}") from exc
 

@@ -1,5 +1,6 @@
-"""JSON run configuration: flat keys mirroring the model parameters plus
-integrator settings and a threshold distribution block."""
+"""Run settings (RunConfig) and their JSON form: flat keys mirroring the
+model parameters plus integrator settings and a threshold distribution
+block."""
 
 from __future__ import annotations
 
@@ -10,20 +11,32 @@ from dataclasses import dataclass
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
                        THRESHOLD_PARAMS, SystemParams, ThresholdDistribution,
-                       step_count)
+                       check_epsilon, step_count)
 
 
 class ConfigError(ValueError):
     pass
 
 
+# the integrator settings, each a flat number in a config
+_SETTINGS = ("dt", "horizon", "extinction_epsilon")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    params: SystemParams
-    dist: ThresholdDistribution
+    """A roster, its threshold distribution and the integrator settings.
+    RunConfig() is the Section IV studies' run; a step that does not fit
+    the horizon or a bad extinction epsilon is refused when built."""
+
+    params: SystemParams = DEFAULT_PARAMS
+    dist: ThresholdDistribution = DEFAULT_DIST
     dt: float = DEFAULT_DT
     horizon: float = DEFAULT_HORIZON
     extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
+
+    def __post_init__(self):
+        step_count(self.horizon, self.dt)
+        check_epsilon(self.extinction_epsilon)
 
     def to_dict(self) -> dict:
         doc = {key: getattr(self.params, key) for key in PARAM_FIELDS}
@@ -32,9 +45,7 @@ class RunConfig:
             "params": dict(zip(THRESHOLD_PARAMS[self.dist.kind],
                                self.dist.params)),
         }
-        doc["dt"] = self.dt
-        doc["horizon"] = self.horizon
-        doc["extinction_epsilon"] = self.extinction_epsilon
+        doc.update((key, getattr(self, key)) for key in _SETTINGS)
         return doc
 
     def dump(self) -> str:
@@ -81,46 +92,26 @@ def _number(key, value) -> float:
         raise ConfigError(f"{key} is out of range: {exc}") from exc
 
 
-def _count(key, value) -> int:
-    """A node or source count: an integer, or a float with no fraction."""
-    number = _number(key, value)
-    if not number.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(number)
-
-
 def parse_config(doc: dict) -> RunConfig:
+    """The RunConfig of a JSON object; a missing key takes RunConfig's
+    default."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = set(PARAM_FIELDS) | {"threshold_dist", "dt", "horizon",
-                                   "extinction_epsilon"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - set(PARAM_FIELDS) - {"threshold_dist", *_SETTINGS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    values = {key: doc.get(key, getattr(DEFAULT_PARAMS, key))
-              for key in PARAM_FIELDS}
-    params = _refusing(
-        SystemParams, n_nodes=_count("n_nodes", values["n_nodes"]),
-        n_sources=_count("n_sources", values["n_sources"]),
-        **{k: _number(k, values[k]) for k in PARAM_FIELDS
-           if k not in ("n_nodes", "n_sources")})
-
+    params = _refusing(SystemParams, **{
+        key: _number(key, doc.get(key, getattr(RunConfig.params, key)))
+        for key in PARAM_FIELDS})
     dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
-            else DEFAULT_DIST)
-    dt = _number("dt", doc.get("dt", DEFAULT_DT))
-    horizon = _number("horizon", doc.get("horizon", DEFAULT_HORIZON))
-    eps = _number("extinction_epsilon",
-                  doc.get("extinction_epsilon", DEFAULT_EXTINCTION_EPSILON))
-    for key, value in (("dt", dt), ("horizon", horizon),
-                       ("extinction_epsilon", eps)):
+            else RunConfig.dist)
+    settings = {key: _number(key, doc.get(key, getattr(RunConfig, key)))
+                for key in _SETTINGS}
+    for key, value in settings.items():
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value!r}")
-    _refusing(step_count, horizon, dt)
-    if eps <= 0:
-        raise ConfigError("extinction_epsilon must be positive")
-    return RunConfig(params=params, dist=dist, dt=dt, horizon=horizon,
-                     extinction_epsilon=eps)
+    return _refusing(RunConfig, params, dist, **settings)
 
 
 def load_config(path: str) -> RunConfig:

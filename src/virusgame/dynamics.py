@@ -204,6 +204,13 @@ def check_epsilon(extinction_epsilon: float) -> None:
                          f"got {extinction_epsilon!r}")
 
 
+def _non_finite(i: int, dt: float, k: float, n_nodes: float) -> RuntimeError:
+    """The error for a state first not finite at step i of column k."""
+    return RuntimeError(f"non-finite state at step {i} (t={i * dt:g}) for "
+                        f"k_protected={k:g} in the table with "
+                        f"n_nodes={n_nodes:g}")
+
+
 def _constant_hazard(dist: ThresholdDistribution) -> Optional[float]:
     """The hazard wherever x_bar >= 0 if it is a finite constant there
     (exponential thresholds: 1/mean), else None."""
@@ -299,11 +306,8 @@ class _Stepper:
             self.step(states[j - 1], states[j])
         if not np.isfinite(states[1:]).all():
             j, col = np.argwhere(~np.isfinite(states[1:]).all(axis=1))[0]
-            i = i0 + 1 + j
-            raise RuntimeError(
-                f"non-finite state at step {i} (t={i * self.dt:g}) for "
-                f"k_protected={self.c.k[col]:g} in the table with "
-                f"n_nodes={self.c.n_nodes[col]:g}")
+            raise _non_finite(i0 + 1 + j, self.dt, self.c.k[col],
+                              self.c.n_nodes[col])
 
 
 def integrate(params: SystemParams, k_protected: float,
@@ -375,11 +379,7 @@ def integrate(params: SystemParams, k_protected: float,
         hx[i], hs[i], hxb[i] = x, s, xb
     bad = ~np.isfinite(hist).all(axis=0)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise RuntimeError(
-            f"non-finite state at step {i} (t={i * dt:g}) for "
-            f"k_protected={k:g} in the table with "
-            f"n_nodes={params.n_nodes:g}")
+        raise _non_finite(int(np.argmax(bad)), dt, k, params.n_nodes)
     t = np.arange(n_steps + 1) * dt
 
     i_peak = int(np.argmax(hx))

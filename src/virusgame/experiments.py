@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import equilibrium as eq
-from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
-                       DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
-                       SystemParams, ThresholdDistribution, Trajectory,
-                       check_epsilon, integrate, step_count)
+from .config import RunConfig
+from .dynamics import (PARAM_FIELDS, SystemParams, ThresholdDistribution,
+                       Trajectory, integrate)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
 
@@ -36,14 +35,13 @@ _VALID_OUTPUTS = _SCALAR_OUTPUTS + ("trajectory",)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A named sweep of one parameter of config's run, and the outputs each
+    point reports."""
+
     name: str
-    base: SystemParams
-    dist: ThresholdDistribution
+    config: RunConfig
     sweep: Tuple[str, Tuple[float, ...]]
     outputs: Tuple[str, ...]
-    dt: float = DEFAULT_DT
-    horizon: float = DEFAULT_HORIZON
-    extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
 
     def __post_init__(self):
         # the name becomes a file name inside the output directory
@@ -64,10 +62,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown output {out!r}")
             if out in self.outputs[:i]:
                 raise ValueError(f"output {out!r} is listed twice")
-        check_epsilon(self.extinction_epsilon)
-        step_count(self.horizon, self.dt)
         for value in values:  # refuse a bad point now, not mid-run
-            _apply_sweep(self.base, param, value)
+            _apply_sweep(self.config.params, param, value)
 
 
 def _fmt(value) -> str:
@@ -88,11 +84,6 @@ def _apply_sweep(base: SystemParams, param: str, value):
             raise ValueError(f"k_protected sweep values must lie in "
                              f"[0, n_nodes={base.n_nodes}]")
         return base, float(value)
-    if param in ("n_nodes", "n_sources"):
-        if not float(value).is_integer():
-            raise ValueError(f"{param} sweep values must be whole numbers, "
-                             f"got {value!r}")
-        value = int(value)
     return dataclasses.replace(base, **{param: value}), None
 
 
@@ -107,8 +98,9 @@ def _needs_table(spec: ExperimentSpec) -> bool:
 
 
 def _table(spec: ExperimentSpec, params: SystemParams) -> np.ndarray:
-    return risk_profile(params, spec.dist, horizon=spec.horizon, dt=spec.dt,
-                        extinction_epsilon=spec.extinction_epsilon)
+    c = spec.config
+    return risk_profile(params, c.dist, horizon=c.horizon, dt=c.dt,
+                        extinction_epsilon=c.extinction_epsilon)
 
 
 def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
@@ -121,6 +113,7 @@ def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
 def _run_point(spec: ExperimentSpec, value, params: SystemParams,
                k: Optional[float]) -> Dict[str, object]:
     row: Dict[str, object] = {spec.sweep[0]: value}
+    c = spec.config
 
     p_star: Optional[float] = None
     if k is None:
@@ -131,9 +124,8 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
     traj: Optional[Trajectory] = None
     if any(o in ("trajectory", "infection_probability", "t_f")
            for o in spec.outputs):
-        traj = integrate(params, k, spec.dist, horizon=spec.horizon,
-                         dt=spec.dt,
-                         extinction_epsilon=spec.extinction_epsilon)
+        traj = integrate(params, k, c.dist, horizon=c.horizon, dt=c.dt,
+                         extinction_epsilon=c.extinction_epsilon)
 
     for out in spec.outputs:
         if out == "trajectory":
@@ -142,7 +134,7 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
             row["infection_probability"] = infection_probability(traj, params).p_infect
         elif out == "t_f":
             row["t_f"] = (traj.extinction_time if traj.extinction_time is not None
-                          else spec.horizon)
+                          else c.horizon)
         elif out == "p_star":
             if p_star is None:
                 p_star = _equilibrium_p(spec, params)
@@ -155,8 +147,7 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
             row["psi"] = eq.pure_ne(_table(spec, params), params).psi
         elif out == "u_c_star":
             row["u_c_star"] = eq.critical_update_cost(
-                params, spec.dist, spec.horizon, spec.dt,
-                spec.extinction_epsilon)
+                params, c.dist, c.horizon, c.dt, c.extinction_epsilon)
     return row
 
 
@@ -183,19 +174,19 @@ def run(spec: ExperimentSpec,
     CSV files are written there.
     """
     param, values = spec.sweep
-    points = [_apply_sweep(spec.base, param, v) for v in values]
+    c = spec.config
+    points = [_apply_sweep(c.params, param, v) for v in values]
     order = sorted(range(len(values)), key=lambda i: values[i])
     needs_table = _needs_table(spec)
-    # a block reads no more tables than the cache holds, so each table is
-    # still cached when its points read it
-    block = CACHE_SIZE if needs_table else len(order)
     rows = []
-    for lo in range(0, len(order), block):
-        chunk = order[lo:lo + block]
+    # a chunk reads no more tables than the cache holds, so each table is
+    # still cached when its points read it
+    for lo in range(0, len(order), CACHE_SIZE):
+        chunk = order[lo:lo + CACHE_SIZE]
         if needs_table:
-            risk_profiles([points[i][0] for i in chunk], spec.dist,
-                          horizon=spec.horizon, dt=spec.dt,
-                          extinction_epsilon=spec.extinction_epsilon)
+            risk_profiles([points[i][0] for i in chunk], c.dist,
+                          horizon=c.horizon, dt=c.dt,
+                          extinction_epsilon=c.extinction_epsilon)
         rows += [_run_point(spec, values[i], *points[i]) for i in chunk]
 
     if out_dir is not None:
@@ -223,15 +214,18 @@ def run(spec: ExperimentSpec,
 # default (constant influence hazard), where the threshold scale is
 # essentially inert at the configured influence rates.
 
-_FIG3_BASE = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
-                          delta=1e-1, delta_s=1e-1, lambda_influence=5e-6,
-                          x0=0.0, s0=5.0, infection_cost=1.0, update_cost=0.1)
+_FIG3 = RunConfig(
+    SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
+                 delta=1e-1, delta_s=1e-1, lambda_influence=5e-6, x0=0.0,
+                 s0=5.0, infection_cost=1.0, update_cost=0.1),
+    ThresholdDistribution.weibull(2.0, 500.0))
 
-_FIG5_BASE = dataclasses.replace(_FIG3_BASE, lambda_influence=1e-4)
+_FIG5 = dataclasses.replace(
+    _FIG3, params=dataclasses.replace(_FIG3.params, lambda_influence=1e-4))
 
-_FIG9_BASE = dataclasses.replace(DEFAULT_PARAMS, n_nodes=100)
+_SECTION_IV = RunConfig()
 
-_POPULARITY_DIST = ThresholdDistribution.weibull(2.0, 500.0)
+_FIG9 = RunConfig(dataclasses.replace(_SECTION_IV.params, n_nodes=100))
 
 
 def builtin_suite() -> List[ExperimentSpec]:
@@ -239,27 +233,21 @@ def builtin_suite() -> List[ExperimentSpec]:
     n_grid = tuple(float(n) for n in range(100, 1001, 100))
     cost_grid = tuple(round(0.05 * i, 2) for i in range(1, 19))  # 0.05..0.90
     return [
-        ExperimentSpec(name="fig3_infection", base=_FIG3_BASE,
-                       dist=_POPULARITY_DIST, sweep=("p", (0.01, 0.1, 0.5)),
-                       outputs=("trajectory",)),
-        ExperimentSpec(name="fig4_sources", base=_FIG3_BASE,
-                       dist=_POPULARITY_DIST, sweep=("p", (0.01, 0.1, 0.5)),
-                       outputs=("trajectory",)),
-        ExperimentSpec(name="fig5_infection_prob", base=_FIG5_BASE,
-                       dist=_POPULARITY_DIST,
+        ExperimentSpec(name="fig3_infection", config=_FIG3,
+                       sweep=("p", (0.01, 0.1, 0.5)), outputs=("trajectory",)),
+        ExperimentSpec(name="fig4_sources", config=_FIG3,
+                       sweep=("p", (0.01, 0.1, 0.5)), outputs=("trajectory",)),
+        ExperimentSpec(name="fig5_infection_prob", config=_FIG5,
                        sweep=("p", (0.3, 0.4, 0.495)),
                        outputs=("infection_probability", "t_f")),
-        ExperimentSpec(name="fig6_pstar_vs_n", base=DEFAULT_PARAMS,
-                       dist=DEFAULT_DIST, sweep=("n_nodes", n_grid),
-                       outputs=("p_star",)),
-        ExperimentSpec(name="fig7_gain", base=DEFAULT_PARAMS,
-                       dist=DEFAULT_DIST, sweep=("n_nodes", n_grid),
-                       outputs=("p_star", "gain")),
-        ExperimentSpec(name="fig8_pstar_vs_cost", base=DEFAULT_PARAMS,
-                       dist=DEFAULT_DIST, sweep=("update_cost", cost_grid),
+        ExperimentSpec(name="fig6_pstar_vs_n", config=_SECTION_IV,
+                       sweep=("n_nodes", n_grid), outputs=("p_star",)),
+        ExperimentSpec(name="fig7_gain", config=_SECTION_IV,
+                       sweep=("n_nodes", n_grid), outputs=("p_star", "gain")),
+        ExperimentSpec(name="fig8_pstar_vs_cost", config=_SECTION_IV,
+                       sweep=("update_cost", cost_grid),
                        outputs=("p_star", "u_c_star")),
-        ExperimentSpec(name="fig9_x_vs_cost", base=_FIG9_BASE,
-                       dist=DEFAULT_DIST,
+        ExperimentSpec(name="fig9_x_vs_cost", config=_FIG9,
                        sweep=("update_cost", (0.05, 0.1, 0.2, 0.4)),
                        outputs=("trajectory", "t_f")),
     ]
@@ -275,9 +263,10 @@ def fig8_ratio_variants() -> List[ExperimentSpec]:
     base_spec = [s for s in builtin_suite() if s.name == "fig8_pstar_vs_cost"][0]
     variants = []
     for beta in FIG8_BETA_RATIOS:
-        base = dataclasses.replace(base_spec.base, beta=beta)
+        params = dataclasses.replace(base_spec.config.params, beta=beta)
         variants.append(dataclasses.replace(
-            base_spec, name=f"fig8_pstar_vs_cost_beta_{_fmt(beta)}", base=base))
+            base_spec, name=f"fig8_pstar_vs_cost_beta_{_fmt(beta)}",
+            config=dataclasses.replace(base_spec.config, params=params)))
     return variants
 
 

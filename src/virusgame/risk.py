@@ -40,7 +40,8 @@ def _hazard_mass(traj: Trajectory, params: SystemParams):
 
     t_f is the extinction time, which must be a sample time; if the
     trajectory never went extinct it is the horizon end, and truncated is
-    set.  Negative samples are refused.
+    set.  Negative samples are refused, and so is a grid whose steps are
+    not all positive and equal (within step_count's 1e-9 of the end).
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -51,8 +52,10 @@ def _hazard_mass(traj: Trajectory, params: SystemParams):
     hits = np.flatnonzero(traj.t == t_f)
     if not hits.size:
         raise ValueError(f"extinction_time {t_f!r} is not a sample time")
-    # the grid is uniform: every step is t[1] - t[0]
-    dt = traj.t[1] - traj.t[0] if len(traj) > 1 else 0.0
+    steps = np.diff(traj.t)
+    dt = steps[0] if steps.size else 0.0
+    if not ((steps > 0) & (np.abs(steps - dt) <= 1e-9 * traj.t[-1])).all():
+        raise ValueError("trajectory time grid is not uniform")
     cum = trapezoid(params.beta * traj.x + params.gamma * traj.s, dt,
                     np.zeros(len(traj)))
     return int(hits[0]), truncated, cum

@@ -155,7 +155,7 @@ def test_criterion_05_monotonicity_suite():
     n_mono = bool((np.diff(p_by_n) >= -1e-12).all())
 
     # p* nonincreasing in U_c, hitting exactly 0 at the computed U_c*
-    base = get_builtin("fig8_pstar_vs_cost").base
+    base = get_builtin("fig8_pstar_vs_cost").config.params
     table_iv = risk_profile(base, EXP100)
     p_by_cost = []
     for cost in np.arange(0.05, 0.91, 0.05):
@@ -173,7 +173,7 @@ def test_criterion_05_monotonicity_suite():
     # U_c* increasing across three transmission/curing ratios
     u_stars = []
     for spec in fig8_ratio_variants():
-        u_stars.append(eq.critical_update_cost(spec.base, EXP100))
+        u_stars.append(eq.critical_update_cost(spec.config.params, EXP100))
     ratio_mono = u_stars[0] < u_stars[1] < u_stars[2]
 
     ok = risk_mono and n_mono and cost_mono and zero_at_star and ratio_mono
@@ -228,10 +228,10 @@ def test_criterion_08_figure_regression():
         details.append(f"{name}: peakX strict decr={peak_dec}, "
                        f"terminal S strict decr={final_dec}")
 
-    spec5 = get_builtin("fig5_infection_prob")
-    traj = integrate(spec5.base, 0.495 * spec5.base.n_nodes, spec5.dist,
-                     horizon=spec5.horizon, dt=spec5.dt)
-    rr = remaining_risk(traj, spec5.base)
+    fig5 = get_builtin("fig5_infection_prob").config
+    traj = integrate(fig5.params, 0.495 * fig5.params.n_nodes, fig5.dist,
+                     horizon=fig5.horizon, dt=fig5.dt)
+    rr = remaining_risk(traj, fig5.params)
     below = np.nonzero(rr < 1e-3)[0]
     vanished = len(below) > 0
     t_vanish = traj.t[below[0]] if vanished else float("nan")

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from virusgame.cli import EXIT_CONFIG, main
-from virusgame.config import ConfigError, parse_config
-from virusgame.experiments import builtin_suite, get_builtin
+from virusgame.cli import EXIT_CONFIG, _load_spec, main
+from virusgame.config import ConfigError, RunConfig, parse_config
+from virusgame.experiments import (builtin_suite, fig8_ratio_variants,
+                                   get_builtin)
 
 SMALL_CONFIG = {
     "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
@@ -118,14 +119,39 @@ def test_cli_horizon_not_whole_steps_exits_config(tmp_path, capsys):
 
 def test_builtin_grids_accepted():
     for spec in builtin_suite():
-        doc = {**SMALL_CONFIG, "dt": spec.dt, "horizon": spec.horizon}
-        assert parse_config(doc).horizon == spec.horizon
+        doc = {**SMALL_CONFIG, "dt": spec.config.dt,
+               "horizon": spec.config.horizon}
+        assert parse_config(doc).horizon == spec.config.horizon
 
 
 def test_defaults_are_the_section_iv_builtin():
-    """An empty config is the roster and threshold distribution of the
-    Section IV studies."""
-    cfg = parse_config({})
-    spec = get_builtin("fig6_pstar_vs_n")
-    assert cfg.params == spec.base
-    assert cfg.dist == spec.dist
+    """An empty config is the run of the Section IV studies."""
+    assert parse_config({}) == get_builtin("fig6_pstar_vs_n").config
+
+
+@pytest.mark.parametrize("settings", [
+    {"dt": math.nan},
+    {"dt": 0.3, "horizon": 1.0},
+    {"extinction_epsilon": 0.0},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_run_config_refused_when_built(settings):
+    with pytest.raises(ValueError):
+        RunConfig(**settings)
+
+
+SPECS = builtin_suite() + fig8_ratio_variants()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_builtin_config_round_trips(spec):
+    assert parse_config(json.loads(spec.config.dump())) == spec.config
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_builtin_spec_file_loads_to_the_builtin(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "name": spec.name, "config": spec.config.to_dict(),
+        "sweep": {"param": spec.sweep[0], "values": list(spec.sweep[1])},
+        "outputs": list(spec.outputs)}))
+    assert _load_spec(str(path)) == spec

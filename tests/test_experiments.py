@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from virusgame import experiments, risk
+from virusgame.config import RunConfig
 from virusgame.dynamics import SystemParams, ThresholdDistribution
 from virusgame.experiments import (ExperimentSpec, MAX_TRAJECTORY_ROWS,
                                    builtin_suite, fig8_ratio_variants,
@@ -19,9 +20,15 @@ SMALL = SystemParams(n_nodes=30, n_sources=10, beta=1e-3, gamma=1e-3,
 
 
 def small_spec(**overrides):
-    kwargs = dict(name="toy", base=SMALL, dist=EXP100,
-                  sweep=("p", (0.1, 0.5)), outputs=("infection_probability",),
-                  horizon=300.0, dt=0.1)
+    """A spec on SMALL; a dt, horizon or extinction_epsilon override goes
+    to its RunConfig."""
+    settings = {key: overrides.pop(key)
+                for key in ("dt", "horizon", "extinction_epsilon")
+                if key in overrides}
+    config = RunConfig(SMALL, EXP100, **{"horizon": 300.0, "dt": 0.1,
+                                         **settings})
+    kwargs = dict(name="toy", config=config, sweep=("p", (0.1, 0.5)),
+                  outputs=("infection_probability",))
     kwargs.update(overrides)
     return ExperimentSpec(**kwargs)
 
@@ -67,8 +74,8 @@ class TestSpecValidation:
             small_spec(horizon=horizon, dt=dt)
 
     @pytest.mark.parametrize("sweep, match", [
-        (("n_nodes", (30.0, 30.9)), "whole numbers, got 30.9"),
-        (("n_sources", (10.5,)), "whole numbers"),
+        (("n_nodes", (30.0, 30.9)), "whole number, got 30.9"),
+        (("n_sources", (10.5,)), "whole number"),
         (("n_nodes", (1.0,)), "n_nodes must be >= 2"),
         (("p", (0.5, 1.5)), r"must lie in \[0,1\]"),
         (("k_protected", (10.0, 31.0)), r"n_nodes=30\]"),
@@ -178,7 +185,7 @@ class TestBuiltinSuite:
 
     def test_fig3_roster(self):
         spec = get_builtin("fig3_infection")
-        b = spec.base
+        b = spec.config.params
         assert (b.n_nodes, b.n_sources) == (100, 50)
         assert b.beta == b.gamma == 1e-3
         assert b.delta == b.delta_s == 0.1
@@ -189,14 +196,14 @@ class TestBuiltinSuite:
 
     def test_fig5_roster(self):
         spec = get_builtin("fig5_infection_prob")
-        assert spec.base.lambda_influence == 1e-4
-        assert spec.base.beta == 1e-3
+        assert spec.config.params.lambda_influence == 1e-4
+        assert spec.config.params.beta == 1e-3
         assert spec.sweep[0] == "p"
         assert "infection_probability" in spec.outputs
 
     def test_equilibrium_study_roster(self):
         spec = get_builtin("fig6_pstar_vs_n")
-        b = spec.base
+        b = spec.config.params
         assert (b.n_nodes, b.n_sources, b.s0) == (500, 50, 10.0)
         assert (b.beta, b.gamma) == (1e-4, 1e-3)
         assert b.lambda_influence == 1e-4
@@ -212,11 +219,11 @@ class TestBuiltinSuite:
 
     def test_fig8_variants(self):
         variants = fig8_ratio_variants()
-        assert [v.base.beta for v in variants] == [1e-4, 2e-4, 3e-4]
+        assert [v.config.params.beta for v in variants] == [1e-4, 2e-4, 3e-4]
         assert len({v.name for v in variants}) == 3
 
     def test_fig9_roster(self):
         spec = get_builtin("fig9_x_vs_cost")
-        assert spec.base.n_nodes == 100
+        assert spec.config.params.n_nodes == 100
         assert spec.sweep == ("update_cost", (0.05, 0.1, 0.2, 0.4))
         assert "trajectory" in spec.outputs

@@ -70,6 +70,16 @@ class TestInfectionProbability:
             with pytest.raises(ValueError, match="not a sample time"):
                 read(traj, FIG3)
 
+    def test_uneven_grid_rejected(self):
+        # one step of 1 then one of 2: read as two steps of 1, the hazard
+        # integral would be 0.002 where the trapezoid over the grid is 0.003
+        traj = Trajectory(t=np.array([0.0, 1.0, 3.0]), x=np.zeros(3),
+                          s=np.ones(3), x_bar=np.zeros(3),
+                          extinction_time=None)
+        for read in (infection_probability, remaining_risk):
+            with pytest.raises(ValueError, match="not uniform"):
+                read(traj, FIG3)
+
     def test_no_contact_no_risk(self):
         params = dataclasses.replace(FIG3, beta=0.0, gamma=0.0)
         traj = integrate(params, 0.0, EXP100, horizon=100.0, dt=0.1)
