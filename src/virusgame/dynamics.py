@@ -228,7 +228,6 @@ class _Stepper:
     exponential hazard is the constant 1/mean where every column has
     x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
     hazard keeps the last finite value ``h_last`` and sets ``saturated``.
-    ``batch_extinction_stats`` gives it each distinct column once.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
@@ -389,7 +388,8 @@ def integrate(params: SystemParams, k_protected: float,
                       hazard_saturated=saturated)
 
 
-# the SystemParams fields the right-hand side and initial state read
+# the SystemParams fields the right-hand side and initial state read;
+# ``risk`` keys a roster's table on those after n_nodes
 _COLUMN_FIELDS = ("n_nodes", "n_sources", "beta", "gamma", "delta", "delta_s",
                   "lambda_influence", "x0", "s0")
 
@@ -406,26 +406,6 @@ def _column_constants(params, k: np.ndarray) -> SimpleNamespace:
     if not ((k >= 0) & (k <= cols["n_nodes"])).all():
         raise ValueError("k_protected must lie in [0, n_nodes]")
     return SimpleNamespace(**cols, k=k)
-
-
-def _distinct_columns(c: SimpleNamespace):
-    """The constants of the first column of each distinct trajectory, in
-    input order, and each column's index among them.  n_nodes and k enter
-    the ODE only as the cap N - k, so a column is keyed on the bytes of
-    N - k and the other eight constants; a -0.0 and a 0.0 differ.  A dict
-    of one key at a time, not ``np.unique``: its sort and its keys held
-    at once raised a sweep's peak memory by about 0.2 MB."""
-    keys = np.column_stack([c.n_nodes - c.k]
-                           + [getattr(c, name) for name in _COLUMN_FIELDS[1:]])
-    ids, first = {}, []
-    inverse = np.empty(len(keys), np.intp)
-    for i, key in enumerate(map(bytes, keys)):
-        if key not in ids:
-            ids[key] = len(first)
-            first.append(i)
-        inverse[i] = ids[key]
-    return (SimpleNamespace(**{name: v[first] for name, v in vars(c).items()}),
-            inverse)
 
 
 def trapezoid(g: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
@@ -457,13 +437,13 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     never gets there is truncated, with t_f = horizon.
 
     ``params`` is one SystemParams for every column, or one per column.
-    Each distinct column (N - k and the other constants, bit for bit) is
-    stepped once and its results copied to its repeats, so the tables of
-    a sweep over N share their trajectories.  The distinct columns run
-    side by side to the horizon, each bit-identical to a call of its own.
-    This is the engine behind the k -> P_i(k) risk tables; no trajectory
-    is kept.  After each block of steps the trapezoid, running maximum
-    and extinction candidates catch up on all its steps at once.
+    Every column given is stepped, side by side to the horizon, each
+    bit-identical to a call of its own.  n_nodes and k enter a column only
+    as the cap N - k, so ``risk`` serves the table of a smaller N as the
+    tail of a larger one.  This is the engine behind the k -> P_i(k) risk
+    tables; no trajectory is kept.  After each block of steps the
+    trapezoid, running maximum and extinction candidates catch up on all
+    its steps at once.
     """
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
@@ -474,7 +454,6 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     c = _column_constants(params, k_values)
     if not len(c.k):
         return np.empty(0), np.empty(0), np.zeros(0, bool), np.zeros(0, bool)
-    c, inverse = _distinct_columns(c)
     n_cols = len(c.k)
     eps = extinction_epsilon
     stepper = _Stepper(c, dist, dt)
@@ -521,6 +500,5 @@ def batch_extinction_stats(params, k_values: np.ndarray,
         states[0], book[:, 0] = states[b], book[:, b]
 
     late = np.isnan(cand_t)
-    return tuple(a[inverse] for a in (
-        np.where(late, horizon, cand_t), np.where(late, book[1, 0], cand_h),
-        late, stepper.saturated))
+    return (np.where(late, horizon, cand_t), np.where(late, book[1, 0], cand_h),
+            late, stepper.saturated)

@@ -62,8 +62,15 @@ class ExperimentSpec:
                 raise ValueError(f"unknown output {out!r}")
             if out in self.outputs[:i]:
                 raise ValueError(f"output {out!r} is listed twice")
+        printed = {}
         for value in values:  # refuse a bad point now, not mid-run
             _apply_sweep(self.config.params, param, value)
+            # a sweep value keys its CSV row and names its trajectory file
+            text = _fmt(value)
+            if text in printed:
+                raise ValueError(f"sweep values {printed[text]!r} and "
+                                 f"{value!r} both print as {text}")
+            printed[text] = value
 
 
 def _fmt(value) -> str:

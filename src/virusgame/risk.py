@@ -7,21 +7,22 @@ probability of being infected at least once before virus extinction is
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
-                       DEFAULT_HORIZON, SystemParams, ThresholdDistribution,
-                       Trajectory, batch_extinction_stats, trapezoid)
+from .dynamics import (_COLUMN_FIELDS, DEFAULT_DIST, DEFAULT_DT,
+                       DEFAULT_EXTINCTION_EPSILON, DEFAULT_HORIZON,
+                       SystemParams, ThresholdDistribution, Trajectory,
+                       batch_extinction_stats, trapezoid)
 
 CACHE_SIZE = 64  # risk tables kept for reuse
 
-# risk tables by (cost-free params, dist, horizon, dt, epsilon), least
-# recently used first
+# risk tables by (roster without n_nodes and costs, dist, horizon, dt,
+# epsilon), each at the largest N asked for so far; least recently used
+# first
 _CACHE: OrderedDict = OrderedDict()
 
 
@@ -88,7 +89,8 @@ def risk_profile(params: SystemParams,
                  dist: ThresholdDistribution = DEFAULT_DIST,
                  horizon: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
                  extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON) -> np.ndarray:
-    """Table P_i(k) for k = 0..N updaters, memoized per parameter set.
+    """Table P_i(k) for k = 0..N updaters, a read-only tail slice of its
+    roster's cached table.
 
     Equilibrium solvers and cost sweeps all read from this table; the
     update/infection costs do not enter the dynamics, so the cache also
@@ -104,31 +106,37 @@ def risk_profiles(params_list: Sequence[SystemParams],
                   ) -> List[np.ndarray]:
     """The risk_profile table of every parameter set in params_list.
 
-    Tables already in the cache are served from it; every missing one is
-    built in a single stacked batch integration and then cached.  Each is
-    bit-identical to a build of its own.
+    An entry depends on n_nodes and k only through the cap N - k, so the
+    table of N is the tail of the table of any larger N on the same roster
+    (every other constant of the dynamics).  The cache keeps one table per
+    roster, at the largest N asked for so far, and serves a smaller N as
+    its last N + 1 entries.  A larger N steps only the missing caps, at
+    that N, and prepends them; every roster that grows goes into a single
+    batch integration.  Each table is bit-identical to a build of its own.
     """
-    keys = [(dataclasses.replace(p, infection_cost=0.0, update_cost=0.0),
-             dist, horizon, dt, extinction_epsilon) for p in params_list]
-    found = {}
-    for key in keys:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            found[key] = _CACHE[key]
-    missing = [key for key in dict.fromkeys(keys) if key not in found]
-    if missing:
-        sizes = [key[0].n_nodes + 1 for key in missing]
+    keys = [(tuple(getattr(p, name) for name in _COLUMN_FIELDS[1:]), dist,
+             horizon, dt, extinction_epsilon) for p in params_list]
+    # each roster at the largest N asked for
+    widest = dict(sorted(zip(keys, params_list), key=lambda kp: kp[1].n_nodes))
+    found = {key: _CACHE.get(key, np.empty(0)) for key in widest}
+    # (key, roster at its largest N, caps it lacks)
+    grow = [(key, p, p.n_nodes + 1 - len(found[key]))
+            for key, p in widest.items() if p.n_nodes >= len(found[key])]
+    if grow:
         _, integral, _, _ = batch_extinction_stats(
-            [key[0] for key, n in zip(missing, sizes) for _ in range(n)],
-            np.concatenate([np.arange(n) for n in sizes]), dist,
+            [p for _, p, n in grow for _ in range(n)],
+            np.concatenate([np.arange(n) for _, _, n in grow]), dist,
             horizon=horizon, dt=dt, extinction_epsilon=extinction_epsilon)
         start = 0
-        for key, n in zip(missing, sizes):
-            table = -np.expm1(-integral[start:start + n])
+        for key, _, n in grow:
+            table = np.concatenate([-np.expm1(-integral[start:start + n]),
+                                    found[key]])
             table.flags.writeable = False
             found[key], start = table, start + n
-        for key in missing:
-            _CACHE[key] = found[key]
-        while len(_CACHE) > CACHE_SIZE:
-            _CACHE.popitem(last=False)
-    return [found[key] for key in keys]
+    for key, table in found.items():
+        _CACHE[key] = table
+        _CACHE.move_to_end(key)
+    while len(_CACHE) > CACHE_SIZE:
+        _CACHE.popitem(last=False)
+    return [found[key][len(found[key]) - p.n_nodes - 1:]
+            for key, p in zip(keys, params_list)]

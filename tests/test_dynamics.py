@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
-                                ThresholdDistribution, _Stepper,
-                                batch_extinction_stats, integrate, step_count)
+                                ThresholdDistribution, batch_extinction_stats,
+                                integrate, step_count)
 from virusgame.risk import infection_probability, risk_profile
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
@@ -345,29 +345,6 @@ class TestBatchExtinctionStats:
         for got, a, b in zip(stacked, *lone):
             assert got.tobytes() == np.concatenate([a, b]).tobytes()
             assert a.tobytes() == b[20:].tobytes()
-
-    @pytest.mark.parametrize("tables,width", [
-        # N=20 and N=40 share the caps 0..20
-        (((20, 0.0), (40, 0.0)), 41),
-        # x0 = -0.0 and x0 = 0.0 differ in their bits
-        (((10, -0.0), (10, 0.0)), 22),
-    ], ids=["shared_caps", "signed_zero_x0"])
-    def test_distinct_columns_step_once(self, tables, width, monkeypatch):
-        widths = []
-        init = _Stepper.__init__
-
-        def spy(self, c, *args):
-            widths.append(len(c.k))
-            init(self, c, *args)
-
-        monkeypatch.setattr(_Stepper, "__init__", spy)
-        params = [dataclasses.replace(CAP_ROSTER, n_nodes=n, x0=x0)
-                  for n, x0 in tables]
-        batch_extinction_stats(
-            [p for p in params for _ in range(p.n_nodes + 1)],
-            np.concatenate([np.arange(p.n_nodes + 1) for p in params]),
-            EXP100, horizon=10.0)
-        assert widths == [width]
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             small_spec(sweep=sweep)
 
+    @pytest.mark.parametrize("sweep", [
+        ("p", (0.1, 0.1000000001)), ("p", (0.5, 0.1, 0.5)),
+        ("n_nodes", (20, 20.0))])
+    def test_sweep_values_that_print_alike_refused(self, sweep):
+        # they would share one CSV row key or one trajectory file name
+        with pytest.raises(ValueError, match="both print as"):
+            small_spec(sweep=sweep)
+
 
 class TestRun:
     def test_rows_sorted_by_sweep_value(self):
@@ -161,12 +170,30 @@ class TestRun:
             return build(params, k_values, *args, **kwargs)
 
         monkeypatch.setattr(risk, "batch_extinction_stats", spy)
-        n_values = tuple(float(n) for n in range(2, CACHE_SIZE + 3))
-        spec = small_spec(sweep=("n_nodes", n_values), outputs=("p_star",),
+        monkeypatch.setattr(risk, "_CACHE", OrderedDict())
+        betas = tuple(1.2345e-4 * (1 + i) for i in range(CACHE_SIZE + 1))
+        spec = small_spec(sweep=("beta", betas), outputs=("p_star",),
                           horizon=1.0)
         rows = run(spec)
         assert len(rows) == CACHE_SIZE + 1
         assert calls == [CACHE_SIZE, 1]
+
+    def test_sweep_over_n_steps_each_cap_once(self, monkeypatch):
+        caps = []
+        build = risk.batch_extinction_stats
+
+        def spy(params, k_values, *args, **kwargs):
+            caps.extend(p.n_nodes - k for p, k in zip(params, k_values))
+            return build(params, k_values, *args, **kwargs)
+
+        monkeypatch.setattr(risk, "batch_extinction_stats", spy)
+        monkeypatch.setattr(risk, "_CACHE", OrderedDict())
+        # two chunks, each of which grows the roster's one table
+        n_values = tuple(float(n) for n in range(2, CACHE_SIZE + 4))
+        spec = small_spec(sweep=("n_nodes", n_values), outputs=("p_star",),
+                          horizon=1.25, dt=0.25)
+        assert len(run(spec)) == CACHE_SIZE + 2
+        assert sorted(caps) == list(range(CACHE_SIZE + 4))
 
     def test_invalid_p_value_raises(self):
         with pytest.raises(ValueError):

@@ -363,8 +363,9 @@ def test_matches_per_step_reference():
 # 18 files `virusgame sweep` writes for them, and of `virusgame simulate` at
 # a fractional protection count.  fig3, fig4 and fig9 write integrate's
 # trajectories; fig5 reads P_i from one; fig6, fig7 and fig8 pin the mixed
-# solver's p* on Section IV tables, fig7 (5,510 columns, 1,001 distinct, at
-# horizon 1000) the largest batch of the builtins
+# solver's p* on Section IV tables, fig6 and fig7 the largest batch of the
+# builtins: one table over the caps 0..1000 at horizon 1000, whose tail
+# slices are the tables of N = 100..900
 SWEEP_CSV_GOLDEN = {
     "fig3_infection":
         "448225d1e43c45bd697aec3b02bc6358a6297e53375f32a8c1364ffb30104498",

@@ -17,6 +17,40 @@ FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
 EXP100 = ThresholdDistribution.exponential(100.0)
 
 
+# FIG3 with beta*N above delta from N=20 on: its tables hold columns that
+# go extinct and columns that truncate
+CAP_ROSTER = dataclasses.replace(FIG3, beta=5e-3, lambda_influence=1e-3)
+
+
+def _batch_widths(monkeypatch):
+    """The column count of every batch the risk cache runs from now on."""
+    widths = []
+    build = risk.batch_extinction_stats
+
+    def spy(params, k_values, *args, **kwargs):
+        widths.append(len(k_values))
+        return build(params, k_values, *args, **kwargs)
+
+    monkeypatch.setattr(risk, "batch_extinction_stats", spy)
+    return widths
+
+
+def _cold(monkeypatch, params, dist):
+    """params' table at horizon 200, built from an empty cache."""
+    monkeypatch.setattr(risk, "_CACHE", OrderedDict())
+    return risk_profile(params, dist, horizon=200.0)
+
+
+def _after(monkeypatch, first, then, dist=EXP100):
+    """then's table read right after first's was built from an empty
+    cache, the widths of the batches that read ran, and then's table
+    built from an empty cache."""
+    cold = _cold(monkeypatch, then, dist)
+    _cold(monkeypatch, first, dist)
+    widths = _batch_widths(monkeypatch)
+    return risk_profile(then, dist, horizon=200.0), widths, cold
+
+
 def _flat_trajectory(x, s, horizon, n, extinct=None):
     t = np.linspace(0.0, horizon, n)
     return Trajectory(t=t, x=np.full(n, x), s=np.full(n, s),
@@ -131,28 +165,76 @@ class TestRiskProfile:
             direct = infection_probability(traj, FIG3).p_infect
             assert table[k] == direct
 
-    def test_memoized_across_costs(self):
+    def test_memoized_across_costs(self, monkeypatch):
         a = risk_profile(FIG3, EXP100, horizon=200.0)
+        widths = _batch_widths(monkeypatch)
         b = risk_profile(dataclasses.replace(FIG3, update_cost=0.7),
                          EXP100, horizon=200.0)
-        assert a is b
+        assert widths == []
+        assert a.tobytes() == b.tobytes()
+
+    def test_tables_are_read_only(self):
+        table = risk_profile(FIG3, EXP100, horizon=200.0)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
     def test_stacked_build_matches_lone_builds(self, monkeypatch):
         # at horizon 200 the N=20 and N=40 tables go extinct while N=150 is
-        # supercritical and truncates at the horizon
+        # supercritical and truncates at the horizon; the beta=2e-3 table
+        # is a second roster
         rosters = [dataclasses.replace(FIG3, n_nodes=n) for n in (20, 150, 40)]
-        lone = [risk_profile(p, EXP100, horizon=200.0) for p in rosters]
+        rosters.append(dataclasses.replace(FIG3, n_nodes=30, beta=2e-3))
+        lone = [_cold(monkeypatch, p, EXP100) for p in rosters]
         _, _, truncated, _ = batch_extinction_stats(
             rosters[1], np.arange(151), EXP100, horizon=200.0)
         assert truncated.any()
 
         monkeypatch.setattr(risk, "_CACHE", OrderedDict())
-        # a duplicate that differs only in cost is built once
+        widths = _batch_widths(monkeypatch)
+        # a duplicate that differs only in cost is built once, and the
+        # N=20 and N=40 tables are tails of the N=150 one
         stacked = risk_profiles(
             rosters + [dataclasses.replace(rosters[0], update_cost=0.7)],
             EXP100, horizon=200.0)
-        assert stacked[3] is stacked[0]
-        for got, want in zip(stacked, lone):
-            assert got is not want
-            assert np.array_equal(got, want)
-        assert risk_profile(rosters[2], EXP100, horizon=200.0) is stacked[2]
+        assert widths == [151 + 31]
+        for got, want in zip(stacked, lone + lone[:1]):
+            assert got.tobytes() == want.tobytes()
+        again = risk_profile(rosters[2], EXP100, horizon=200.0)
+        assert widths == [182]
+        assert again.tobytes() == lone[2].tobytes()
+
+    @pytest.mark.parametrize("first,then,dist,want", [
+        # a smaller N is a tail slice of the cached table
+        (40, 20, EXP100, []),
+        # a larger N steps only its missing caps
+        (20, 40, EXP100, [20]),
+        (20, 40, ThresholdDistribution.uniform(0.0, 40.0), [20]),
+        (20, 40, ThresholdDistribution.weibull(0.7, 50.0), [20]),
+    ], ids=["smaller", "larger-exponential", "larger-uniform",
+            "larger-weibull"])
+    def test_another_n_of_a_cached_roster(self, first, then, dist, want,
+                                          monkeypatch):
+        got, widths, cold = _after(
+            monkeypatch, *(dataclasses.replace(CAP_ROSTER, n_nodes=n)
+                           for n in (first, then)), dist)
+        assert widths == want
+        assert got.tobytes() == cold.tobytes()
+
+    def test_one_call_steps_shared_caps_once(self, monkeypatch):
+        monkeypatch.setattr(risk, "_CACHE", OrderedDict())
+        widths = _batch_widths(monkeypatch)
+        risk_profiles([dataclasses.replace(CAP_ROSTER, n_nodes=n)
+                       for n in (20, 40)], EXP100, horizon=10.0)
+        assert widths == [41]
+
+    @pytest.mark.parametrize("name", ["x0", "s0", "beta", "gamma", "delta",
+                                      "lambda_influence"])
+    def test_signed_zeros_share_a_table(self, name, monkeypatch):
+        """The cache key compares floats with ==, so a -0.0 reads the table
+        of a 0.0; the two tables are the same bits."""
+        got, widths, cold = _after(
+            monkeypatch, *(dataclasses.replace(CAP_ROSTER, n_nodes=10,
+                                               **{name: z})
+                           for z in (0.0, -0.0)))
+        assert widths == []
+        assert got.tobytes() == cold.tobytes()
