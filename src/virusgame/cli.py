@@ -180,8 +180,12 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("--k-protected must lie in 0..n_nodes")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        estimate, std_error = empirical_infection_probability(
-            cfg.params, cfg.dist, k, args.reps, args.seed, horizon=cfg.horizon)
+        try:
+            estimate, std_error = empirical_infection_probability(
+                cfg.params, cfg.dist, k, args.reps, args.seed,
+                horizon=cfg.horizon)
+        except ValueError as exc:  # a start the oracle cannot simulate
+            raise ConfigError(str(exc)) from exc
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     traj = integrate(cfg.params, k, cfg.dist, horizon=cfg.horizon, dt=cfg.dt,

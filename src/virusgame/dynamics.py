@@ -38,9 +38,10 @@ class ThresholdDistribution:
     """Distribution of source activation thresholds.
 
     Supported kinds: exponential(mean), uniform(lo, hi), weibull(shape, scale).
-    Exposes the hazard f/(1-F), which is what the source ODE consumes, and
-    a sampler for the oracle.  Where F saturates (F = 1) the hazard is
-    returned as +inf and the integrator substitutes the last finite value.
+    Exposes the hazard f/(1-F): lambda times it is an inactive source's
+    activation rate, in the source ODE and the oracle alike.  Where F
+    saturates (F = 1) the hazard is returned as +inf, and both substitute
+    the last finite value.
     """
 
     kind: str
@@ -95,17 +96,12 @@ class ThresholdDistribution:
             out = np.where(x < 0, 0.0, h)
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """size thresholds as an array, or one as a float when size is None;
-        either way one 64-bit-word draw per threshold."""
-        if self.kind == "exponential":
-            (m,) = self.params
-            return rng.exponential(m, size)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size)
-        k, s = self.params
-        return s * rng.weibull(k, size)
+
+def whole_count(name: str, value) -> int:
+    """value as an int; a fractional value is refused."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -129,12 +125,9 @@ class SystemParams:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("n_nodes", "n_sources"):
-            count = getattr(self, name)
-            if not float(count).is_integer():
-                raise ValueError(f"{name} must be a whole number, "
-                                 f"got {count!r}")
             # a count sizes tables and ranges: 100.0 is stored as 100
-            object.__setattr__(self, name, int(count))
+            count = whole_count(name, getattr(self, name))
+            object.__setattr__(self, name, count)
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be >= 2")
         if self.n_sources < 1:

@@ -4,15 +4,15 @@ Serves as the independent check on the mean-field ODEs and on the
 infection-probability quadrature: a Gillespie-style continuous-time Markov
 chain over individual nodes and sources.
 
-Agent-level source activation: each source draws a threshold from the
-configured distribution; once the cumulative infection count crosses it the
-source activates after an exponential delay with the influence rate.  A
-deactivated source redraws a fresh threshold and may be influenced again.
+Sources follow the ODE's activation law: each inactive source activates at
+rate lambda * h(cum), where h = f/(1 - F) is the threshold distribution's
+hazard and cum the cumulative infection count, the chain's x_bar.  cum
+changes only at infection events, so the rate is constant between events
+and the direct method stays exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import pickle
@@ -27,7 +27,8 @@ import numpy as np
 # so a run's first replication does not pay for the import
 from numpy.random import default_rng
 
-from .dynamics import SystemParams, ThresholdDistribution, step_count
+from .dynamics import (SystemParams, ThresholdDistribution, _constant_hazard,
+                       step_count, whole_count)
 
 EVENT_INFECT = "infect"
 EVENT_CURE = "cure"
@@ -50,8 +51,8 @@ def _index_draw(rng: np.random.Generator):
 
     Preconditions: n lies in 1..2**32, and rng is fresh and serves no
     other 32-bit draws, whose spare half-word would be rng's own and not
-    draw's.  exponential, random and the threshold samplers read whole
-    64-bit words, so they may interleave freely.
+    draw's.  exponential and random read whole 64-bit words, so they may
+    interleave freely.
     """
     raw = rng.bit_generator.random_raw
     spare = None
@@ -99,48 +100,52 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
 
     Reactions: susceptible nodes are infected at rate beta*X + gamma*S each,
     infected nodes cure at rate delta, active sources deactivate at rate
-    delta_s, and threshold-crossed inactive sources activate at the
-    influence rate.  Deterministic given the seed.
+    delta_s, and inactive sources activate at rate lambda*h(cum) each, the
+    ODE's law.  h is evaluated once per infection event (a constant for
+    exponential thresholds); a saturated (+inf) hazard keeps the last
+    finite value, starting from 0.0, as ``integrate`` does.  k_protected,
+    x0 and s0 must be whole (10.0 is taken as 10), and x0 is clipped to
+    the N - k unprotected nodes, which the ODE does not do.  Deterministic
+    given the seed.
 
-    The node and source sets are kept between events as sorted lists, and
-    the inactive sources still below their threshold wait in a heap keyed
-    by threshold, so an event costs O(log) lookups plus a list shift
-    instead of rescans of every node and source.  Draw i of a set picks its
-    i-th smallest member, as a boolean-mask scan would.
-
-    Each event draws its waiting time with rng.exponential, its reaction
-    with rng.random and its member with _index_draw, which returns the
-    index Generator.integers would from the same words; a deactivated
-    source redraws its threshold as a scalar.
+    The node and source sets are kept between events as sorted lists, so
+    an event costs O(log) lookups plus a list shift instead of rescans of
+    every node and source.  Draw i of a set picks its i-th smallest member,
+    as a boolean-mask scan would.  Each event makes three draws: the time
+    since the last event with rng.exponential, its reaction with
+    rng.random and its member with _index_draw, which returns the index
+    Generator.integers would from the same words.
     """
+    k_protected = whole_count("k_protected", k_protected)
     if not 0 <= k_protected <= params.n_nodes:
         raise ValueError("k_protected must lie in 0..n_nodes")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be positive and finite")
+    n = params.n_nodes
+    x0 = min(whole_count("x0", params.x0), n - k_protected)
+    s0 = whole_count("s0", params.s0)
     rng = default_rng(seed)
     draw = _index_draw(rng)
 
-    n, ns = params.n_nodes, params.n_sources
-    x0 = min(int(round(params.x0)), n - k_protected)
     infected = list(range(k_protected, k_protected + x0))
     susceptible = list(range(k_protected + x0, n))
-
-    s0 = min(int(round(params.s0)), ns)
     active = list(range(s0))
-    theta = dist.sample(rng, ns).tolist()
-    crossed = []          # inactive, threshold <= cum: may activate
-    waiting = []          # inactive, threshold > cum: heap of (theta, id)
-    for src in range(s0, ns):
-        if theta[src] <= x0:
-            crossed.append(src)
-        else:
-            waiting.append((theta[src], src))
-    heapq.heapify(waiting)
+    inactive = list(range(s0, params.n_sources))
 
     beta, gamma, delta = params.beta, params.gamma, params.delta
     delta_s, lam = params.delta_s, params.lambda_influence
+    h_exp = _constant_hazard(dist)
+    h = 0.0  # the last finite hazard
+
+    def lam_hazard(cum: int) -> float:
+        nonlocal h
+        h_cum = dist.hazard(float(cum)) if h_exp is None else h_exp
+        h = h_cum if math.isfinite(h_cum) else h
+        return lam * h
+
     ever_infected = np.zeros(n, dtype=bool)
     cum = x0
+    lam_h = lam_hazard(cum)
     t = 0.0
     events: List[Tuple[float, str, int]] = []
     times = [0.0]
@@ -154,7 +159,7 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
         r_inf = (beta * x + gamma * s) * len(susceptible)
         r_cure = delta * x
         r_deact = delta_s * s
-        r_act = lam * len(crossed)
+        r_act = lam_h * len(inactive)
         total = r_inf + r_cure + r_deact + r_act
         if total <= 0:
             break
@@ -174,8 +179,8 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
             insort(infected, target)
             ever_infected[target] = True
             cum += 1
-            while waiting and waiting[0][0] <= cum:
-                insort(crossed, heapq.heappop(waiting)[1])
+            if h_exp is None:
+                lam_h = lam_hazard(cum)
             events.append((t, EVENT_INFECT, target))
         elif u < r_inf + r_cure:
             target = infected.pop(draw(len(infected)))
@@ -183,14 +188,10 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
             events.append((t, EVENT_CURE, target))
         elif u < r_inf + r_cure + r_deact:
             target = active.pop(draw(len(active)))
-            redrawn = dist.sample(rng)
-            if redrawn <= cum:
-                insort(crossed, target)
-            else:
-                heapq.heappush(waiting, (redrawn, target))
+            insort(inactive, target)
             events.append((t, EVENT_SRC_DEACTIVATE, target))
         else:
-            target = crossed.pop(draw(len(crossed)))
+            target = inactive.pop(draw(len(inactive)))
             insort(active, target)
             events.append((t, EVENT_SRC_ACTIVATE, target))
 

@@ -65,7 +65,8 @@ class TestSimulateCtmc:
                 assert entity >= 12
 
     def test_instant_thresholds_activate_all_sources(self):
-        dist = ThresholdDistribution.uniform(0.0, 1e-9)
+        # hazard 1/mean = 1000: each source activates at rate 5e4
+        dist = ThresholdDistribution.exponential(1e-3)
         eager = dataclasses.replace(SMALL, x0=2.0, s0=0.0, delta_s=0.0,
                                     lambda_influence=50.0, beta=0.0,
                                     gamma=0.0, delta=0.0)
@@ -73,6 +74,48 @@ class TestSimulateCtmc:
         assert res.s_path[-1] == eager.n_sources
         acts = sum(1 for e in res.events if e[1] == "src_activate")
         assert acts == eager.n_sources
+
+    @pytest.mark.parametrize("dist, x0", [
+        (ThresholdDistribution.uniform(0.0, 1e-9), 2.0),
+        (ThresholdDistribution.weibull(0.5, 10.0), 0.0),
+    ], ids=["uniform", "weibull"])
+    def test_hazard_saturated_from_the_start_activates_no_source(self, dist,
+                                                                 x0):
+        """A hazard that is +inf at x0 (uniform with x0 >= hi, Weibull with
+        shape < 1 at x0 = 0) is replaced by the last finite value, 0.0,
+        while it stays +inf, as integrate does: with no infections neither
+        the chain nor the ODE activates a source."""
+        calm = dataclasses.replace(SMALL, x0=x0, beta=0.0, gamma=0.0,
+                                   lambda_influence=50.0)
+        res = simulate_ctmc(calm, dist, 0, seed=3, horizon=50.0)
+        assert not any(e[1] == "src_activate" for e in res.events)
+        assert res.s_path.max() == calm.s0
+        ode = integrate(calm, 0.0, dist, horizon=50.0, dt=0.1)
+        assert ode.hazard_saturated
+        assert ode.s.max() == calm.s0
+
+    def test_whole_float_counts_are_ints(self):
+        whole = dataclasses.replace(SMALL, x0=2.0, s0=3.0)
+        a = simulate_ctmc(whole, EXP100, 10.0, seed=6, horizon=120.0)
+        b = simulate_ctmc(whole, EXP100, 10, seed=6, horizon=120.0)
+        assert a.events == b.events
+        np.testing.assert_array_equal(a.x_path, b.x_path)
+        assert a.x_path[0] == 2 and a.s_path[0] == 3
+
+    def test_fractional_k_protected_refused(self):
+        with pytest.raises(ValueError,
+                           match="k_protected must be a whole number"):
+            simulate_ctmc(SMALL, EXP100, 2.5, seed=0, horizon=10.0)
+
+    @pytest.mark.parametrize("field", ["x0", "s0"])
+    @pytest.mark.parametrize("value", [2.5, 3.5])
+    def test_fractional_start_refused(self, field, value):
+        """The ODE starts at the fractional value itself; the chain would
+        start elsewhere, so it refuses."""
+        params = dataclasses.replace(SMALL, **{field: value})
+        with pytest.raises(ValueError,
+                           match=f"{field} must be a whole number"):
+            simulate_ctmc(params, EXP100, 0, seed=0, horizon=10.0)
 
     def test_event_times_increase(self):
         res = simulate_ctmc(SMALL, EXP100, 0, seed=11, horizon=150.0)
@@ -141,3 +184,33 @@ class TestMeanFieldAgreement:
         assert errors[0] > errors[1] > errors[2]
         assert errors[-1] < 0.15
 
+    def test_source_activation_follows_the_ode(self):
+        """Where activation matters (lambda = 0.05 against delta_s = 0.1,
+        not the 5e-6 of the checks above) the replication means of x and s
+        lie within 5 standard errors of the ODE at t = 5, 10, ..., 50.
+
+        Exponential thresholds only: their hazard is the constant 1/mean,
+        so every rate is linear in the counts and the ODE is the chain's
+        mean-field limit (Kurtz 1970).  With uniform(0, 40) thresholds the
+        hazard 1/(40 - cum) is nonlinear in an integer count of order 10,
+        which is not a mean-field limit: the mean of h(cum) is not h of the
+        mean, and the chain's mean s reads about 4 at t = 50 against the
+        ODE's 1.46."""
+        params = SystemParams(n_nodes=200, n_sources=50, beta=2e-4,
+                              gamma=2e-3, delta=0.1, delta_s=0.1,
+                              lambda_influence=0.05, x0=5.0, s0=0.0,
+                              infection_cost=1.0, update_cost=0.1)
+        dist = ThresholdDistribution.exponential(20.0)
+        t_grid = np.arange(1, 11) * 5.0
+        n_reps = 1000
+        paths = np.empty((n_reps, 2, len(t_grid)))
+        for rep in range(n_reps):
+            res = simulate_ctmc(params, dist, 0, [0, rep], horizon=50.0)
+            idx = np.searchsorted(res.times, t_grid, side="right") - 1
+            paths[rep] = res.x_path[idx], res.s_path[idx]
+        ode = integrate(params, 0.0, dist, horizon=50.0, dt=0.1)
+        at = np.rint(t_grid / 0.1).astype(int)
+        model = np.array([ode.x[at], ode.s[at]])
+        std_error = paths.std(axis=0, ddof=1) / np.sqrt(n_reps)
+        z = np.abs(paths.mean(axis=0) - model) / std_error
+        assert z.max() < 5.0, z.round(2)

@@ -30,11 +30,12 @@ EXP100 = ThresholdDistribution.exponential(100.0)
 EXP3 = ThresholdDistribution.exponential(3.0)
 UNIF = ThresholdDistribution.uniform(1.0, 8.0)
 WEIB = ThresholdDistribution.weibull(1.5, 4.0)
-INSTANT = ThresholdDistribution.uniform(0.0, 1e-9)
+# hazard 1000: a source activates about as soon as the influence allows
+INSTANT = ThresholdDistribution.exponential(1e-3)
 
 # supercritical: infections keep coming until the horizon
 BUSY = dataclasses.replace(BASE, beta=0.01)
-# sources cross gradually and activate fast enough to be seen
+# sources activate fast enough to be seen
 LIVELY = dataclasses.replace(BASE, beta=4e-3, lambda_influence=0.05)
 
 # name -> (params, dist, k_protected, seed, horizon, event_cap)
@@ -59,21 +60,21 @@ CASES = {
 
 GOLDEN = {
     "exp100_k0":
-        "844c7f227e1ecfd72c38272f79a918241bff9c8284d44ca5e3a2fdec5ef13419",
+        "bcde10e2d398214bb182e6c6286e90c3ab5fd423a8bc7775c0f1a6ecd696aea9",
     "exp100_x0_k8":
-        "ffcd86b332a1ad095dcae77e5b0ae7633aa2ea3f5097db6d5ae296701936dd54",
+        "60c535df9275785b379912b449fbcb89e07ad29e3ace25b343ca55e1adc3df1f",
     "exp3_x0":
-        "2ceb64a2092cdcfe46b8fc108f75765efca68da1cb44cd42d6e46ddc5853433f",
+        "6b1021ebe7754a48ba846a4440411c0b5a36889c5356124a187ef4c923c912a5",
     "uniform_k5":
-        "a8595e076ac65d210ca5842f002d119ed42e8880a0ef0250a3c6333e6efc55e9",
+        "0cbfcd5b7f84c167607750797f3a46b1f5efad3915dda0faa38c9a6a5e0acfcc",
     "weibull_x0_k10":
-        "b3a27575529d954e2230b3b42b9af941fe9ec58f40c6ac81d98fce9c7be0a556",
+        "125a729f640b9ac97142670b9df240980ba173f0d2d49c8a2d55b9c2358b710d",
     "instant_activation":
-        "056c7c7269acecf80a1b583ec5cd0ff21fa1104d67c5743fc53a6e77559df84a",
+        "e8d43f9219a21d60f964f01bb01eb68f12f858914e36402ea5609f7e5c0fb995",
     "instant_cycling":
-        "6dc979e04957a36391d22e19f055b33b94e890fda4f3ef9610ba844f567528b4",
+        "c1603009f87198923f47cbe9a1e03903547d18dd563a7e11b95ad6f1b73225e0",
     "event_cap":
-        "52960a92c8be761cd3bccf17e641c7db1f2196e048ca6d894ae3ebbf0390b0d5",
+        "dcbbd61b4442162b23f5f8c54d76e08d16d385fb353fb60c5d4a310c0b119a7d",
 }
 
 
@@ -110,28 +111,30 @@ def test_matrix_covers_every_event_kind_and_truncation():
 
 def reference_ctmc(params, dist, k_protected, seed, horizon, event_cap):
     """The direct method with no state kept between events: every rate and
-    candidate set is recomputed from the node and source arrays."""
+    candidate set is recomputed from the node and source arrays, and the
+    hazard from the cumulative count, keeping the last finite value."""
     rng = np.random.default_rng(seed)
     n, ns = params.n_nodes, params.n_sources
     node = np.zeros(n, dtype=np.int8)       # 0 susceptible, 1 infected
     node[:k_protected] = 2                  # 2 protected
-    x0 = min(int(round(params.x0)), n - k_protected)
+    x0 = min(int(params.x0), n - k_protected)
     node[k_protected:k_protected + x0] = 1
     active = np.zeros(ns, dtype=bool)
-    s0 = min(int(round(params.s0)), ns)
+    s0 = int(params.s0)
     active[:s0] = True
-    theta = dist.sample(rng, ns)
     ever_infected = np.zeros(n, dtype=bool)
     cum, t, events, times, x_path, s_path = x0, 0.0, [], [0.0], [x0], [s0]
-    truncated = False
+    h, truncated = 0.0, False
     while True:
         x, s = int((node == 1).sum()), int(active.sum())
         susceptible = np.flatnonzero(node == 0)
-        crossed = np.flatnonzero(~active & (theta <= cum))
+        inactive = np.flatnonzero(~active)
+        h_cum = float(dist.hazard(cum))
+        h = h_cum if np.isfinite(h_cum) else h
         r_inf = (params.beta * x + params.gamma * s) * len(susceptible)
         r_cure = params.delta * x
         r_deact = params.delta_s * s
-        r_act = params.lambda_influence * len(crossed)
+        r_act = params.lambda_influence * h * len(inactive)
         total = r_inf + r_cure + r_deact + r_act
         if total <= 0:
             break
@@ -157,10 +160,9 @@ def reference_ctmc(params, dist, k_protected, seed, horizon, event_cap):
             on = np.flatnonzero(active)
             target = int(on[rng.integers(len(on))])
             active[target] = False
-            theta[target] = dist.sample(rng, 1)[0]
             kind = EVENT_SRC_DEACTIVATE
         else:
-            target = int(crossed[rng.integers(len(crossed))])
+            target = int(inactive[rng.integers(len(inactive))])
             active[target] = True
             kind = EVENT_SRC_ACTIVATE
         events.append((t, kind, target))
@@ -215,20 +217,8 @@ def test_index_draw_matches_generator_integers(seed):
             n = pick.choice(INDEX_BOUNDS)
             assert draw(n) == ref.integers(n), (seed, rep, n)
             # 64-bit-word draws in between leave the spare half-word alone
-            other = pick.randrange(6)
+            other = pick.randrange(3)
             if other == 0:
                 assert mine.random() == ref.random()
             elif other == 1:
                 assert mine.exponential(2.5) == ref.exponential(2.5)
-            elif other in (2, 3, 4):
-                dist = (EXP3, UNIF, WEIB)[other - 2]
-                assert dist.sample(mine) == dist.sample(ref)
-
-
-@pytest.mark.parametrize("dist", [EXP3, UNIF, WEIB], ids=lambda d: d.kind)
-def test_scalar_threshold_sample_matches_array_sample(dist):
-    scalar, array = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(200):
-        got = dist.sample(scalar)
-        assert type(got) is float
-        assert got == dist.sample(array, 1)[0]

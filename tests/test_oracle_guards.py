@@ -106,3 +106,16 @@ def test_mean_path_refuses_no_replications():
     with pytest.raises(ValueError, match="at least 1 replication"):
         oracle.mean_infected_path(SMALL, EXP100, 0, n_reps=0, seed=0,
                                   horizon=1.0, dt=0.5)
+
+
+@pytest.mark.parametrize("field", ["x0", "s0"])
+def test_cli_oracle_refuses_fractional_start(field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CAPPED_CONFIG, field: 2.5}))
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--reps", "100",
+                 "--seed", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be a whole number, got 2.5" in err
+    assert "Traceback" not in err
+    assert not out.exists()
