@@ -78,7 +78,8 @@ class ThresholdDistribution:
         return cls("weibull", (float(shape), float(scale)))
 
     def hazard(self, x):
-        """Activation hazard f(x)/(1-F(x)); +inf where F has saturated."""
+        """Activation hazard f(x)/(1-F(x)), as a float array of x's shape;
+        +inf where F has saturated."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             (m,) = self.params
@@ -94,7 +95,7 @@ class ThresholdDistribution:
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = (k / s) * (xp / s) ** (k - 1.0)
             out = np.where(x < 0, 0.0, h)
-        return out if out.ndim else float(out)
+        return out
 
 
 def whole_count(name: str, value) -> int:
@@ -247,7 +248,7 @@ class _Stepper:
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
         if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
             return self.lam_h
-        h = np.asarray(self.dist.hazard(x_bar), dtype=float)
+        h = self.dist.hazard(x_bar)
         bad = ~np.isfinite(h)
         if bad.any():
             self.saturated |= bad

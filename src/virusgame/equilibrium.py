@@ -109,9 +109,7 @@ def _log_choose(m: int) -> np.ndarray:
 def _binom_pmf(m: int, p) -> np.ndarray:
     """Binomial(m, p) weights for k = 0..m, in log space.
 
-    p is a scalar (one row of m+1 weights) or a column of shape (r, 1)
-    (r rows).  0 * log 0 counts as 0, so p = 0 and p = 1 give exact
-    one-hot rows."""
+    0 * log 0 counts as 0, so p = 0 and p = 1 give exact one-hot weights."""
     k = np.arange(m + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         hits = np.where(k == 0, 0.0, k * np.log(p))

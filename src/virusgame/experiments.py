@@ -104,31 +104,26 @@ def _needs_table(spec: ExperimentSpec) -> bool:
             or any(o in _EQUILIBRIUM_OUTPUTS for o in spec.outputs))
 
 
-def _table(spec: ExperimentSpec, params: SystemParams) -> np.ndarray:
-    c = spec.config
-    return risk_profile(params, c.dist, horizon=c.horizon, dt=c.dt,
-                        extinction_epsilon=c.extinction_epsilon)
-
-
-def _equilibrium_p(spec: ExperimentSpec, params: SystemParams) -> float:
-    result = eq.mixed_ne(_table(spec, params), params)
-    if isinstance(result, eq.NoInteriorEquilibrium):
-        return float(result.boundary)
-    return result.p_star
-
-
 def _run_point(spec: ExperimentSpec, value, params: SystemParams,
                k: Optional[float]) -> Dict[str, object]:
+    """One row; the point reads its risk table once, when it solves, and
+    its mixed and pure equilibria come from that one table."""
     row: Dict[str, object] = {spec.sweep[0]: value}
     c = spec.config
 
-    p_star: Optional[float] = None
-    if k is None:
-        # sweeps over model parameters run the trajectory at equilibrium
-        p_star = _equilibrium_p(spec, params)
-        k = p_star * params.n_nodes
+    solve = k is None or "p_star" in spec.outputs or "gain" in spec.outputs
+    if solve or "psi" in spec.outputs:
+        table = risk_profile(params, c.dist, horizon=c.horizon, dt=c.dt,
+                             extinction_epsilon=c.extinction_epsilon)
+    if solve:
+        result = eq.mixed_ne(table, params)
+        p_star = (float(result.boundary)
+                  if isinstance(result, eq.NoInteriorEquilibrium)
+                  else result.p_star)
+        if k is None:
+            # sweeps over model parameters run the trajectory at equilibrium
+            k = p_star * params.n_nodes
 
-    traj: Optional[Trajectory] = None
     if any(o in ("trajectory", "infection_probability", "t_f")
            for o in spec.outputs):
         traj = integrate(params, k, c.dist, horizon=c.horizon, dt=c.dt,
@@ -143,15 +138,11 @@ def _run_point(spec: ExperimentSpec, value, params: SystemParams,
             row["t_f"] = (traj.extinction_time if traj.extinction_time is not None
                           else c.horizon)
         elif out == "p_star":
-            if p_star is None:
-                p_star = _equilibrium_p(spec, params)
             row["p_star"] = p_star
         elif out == "gain":
-            if p_star is None:
-                p_star = _equilibrium_p(spec, params)
             row["gain"] = eq.cost_gain(p_star)
         elif out == "psi":
-            row["psi"] = eq.pure_ne(_table(spec, params), params).psi
+            row["psi"] = eq.pure_ne(table, params).psi
         elif out == "u_c_star":
             row["u_c_star"] = eq.critical_update_cost(
                 params, c.dist, c.horizon, c.dt, c.extinction_epsilon)

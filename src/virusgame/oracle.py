@@ -35,7 +35,9 @@ EVENT_CURE = "cure"
 EVENT_SRC_ACTIVATE = "src_activate"
 EVENT_SRC_DEACTIVATE = "src_deactivate"
 
-DEFAULT_EVENT_CAP = 1_000_000
+# events one replication may draw before it stops, truncated, short of the
+# horizon
+EVENT_CAP = 1_000_000
 
 
 def _index_draw(rng: np.random.Generator):
@@ -94,19 +96,20 @@ class SimulationResult:
 
 
 def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
-                  k_protected: int, seed, horizon: float,
-                  event_cap: int = DEFAULT_EVENT_CAP) -> SimulationResult:
+                  k_protected: int, seed, horizon: float) -> SimulationResult:
     """Gillespie direct-method simulation of the full agent system.
 
     Reactions: susceptible nodes are infected at rate beta*X + gamma*S each,
     infected nodes cure at rate delta, active sources deactivate at rate
     delta_s, and inactive sources activate at rate lambda*h(cum) each, the
-    ODE's law.  h is evaluated once per infection event (a constant for
-    exponential thresholds); a saturated (+inf) hazard keeps the last
-    finite value, starting from 0.0, as ``integrate`` does.  k_protected,
-    x0 and s0 must be whole (10.0 is taken as 10), and x0 is clipped to
-    the N - k unprotected nodes, which the ODE does not do.  Deterministic
-    given the seed.
+    ODE's law.  h is evaluated once per infection event on a one-element
+    array, as ``integrate`` evaluates it (a constant for exponential
+    thresholds); a saturated (+inf) hazard keeps the last finite value,
+    starting from 0.0, as ``integrate`` does.  k_protected, x0 and s0 must
+    be whole (10.0 is taken as 10), and x0 is clipped to the N - k
+    unprotected nodes, which the ODE does not do.  A replication stops,
+    flagged truncated, once it has drawn EVENT_CAP events short of the
+    horizon.  Deterministic given the seed.
 
     The node and source sets are kept between events as sorted lists, so
     an event costs O(log) lookups plus a list shift instead of rescans of
@@ -135,17 +138,20 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     beta, gamma, delta = params.beta, params.gamma, params.delta
     delta_s, lam = params.delta_s, params.lambda_influence
     h_exp = _constant_hazard(dist)
+    one = np.empty(1)  # the hazard's argument, as in integrate
     h = 0.0  # the last finite hazard
 
     def lam_hazard(cum: int) -> float:
         nonlocal h
-        h_cum = dist.hazard(float(cum)) if h_exp is None else h_exp
+        one[0] = cum
+        h_cum = float(dist.hazard(one)[0])
         h = h_cum if math.isfinite(h_cum) else h
         return lam * h
 
+    event_cap = EVENT_CAP  # a local: the event loop reads it every event
     ever_infected = np.zeros(n, dtype=bool)
     cum = x0
-    lam_h = lam_hazard(cum)
+    lam_h = lam_hazard(cum) if h_exp is None else lam * h_exp
     t = 0.0
     events: List[Tuple[float, str, int]] = []
     times = [0.0]
@@ -205,16 +211,6 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
                             cumulative_infections=cum, truncated=truncated)
 
 
-def _warn_truncated(truncated: int, n_reps: int) -> None:
-    """Say when replications stopped at the event cap before the horizon:
-    their partial outcomes are still averaged in."""
-    if truncated:
-        warnings.warn(
-            f"{truncated} of {n_reps} replications hit the event cap before "
-            "the horizon; their partial outcomes are included in the average",
-            RuntimeWarning, stacklevel=3)
-
-
 def _run_chunk(work, reps: range):
     """work(rep) for each rep in order: the rows as a float64 array of
     len(reps) rows, and how many of the reps were truncated."""
@@ -250,34 +246,35 @@ def _child(work, reps: range, fd: int) -> None:
         os._exit(code)
 
 
-def _replicate(work, n_reps: int, workers=None):
+def _replicate(work, n_reps: int) -> np.ndarray:
     """Run work(rep) for rep in range(n_reps) on every usable core.
 
     work returns one replication's row (a float or a 1-D array) and whether
-    it was truncated.  The reps are split into contiguous chunks, one per
-    worker; this process runs the first chunk and a forked child each of
+    it was truncated.  Rep 0 runs in this process before anything else, so
+    a start that every rep refuses raises here before any fork.  The reps
+    are then split into contiguous chunks, one per usable core; this
+    process runs the rest of the first chunk and a forked child each of
     the others, sending its rows back through a pipe.  Returns the rows as
-    an (n_reps, width) float64 array in rep order, and the truncation
-    count.  A row depends only on its rep, so the result is bit-identical
-    to one process running the reps in order.
+    an (n_reps, width) float64 array in rep order, and warns once
+    (RuntimeWarning) when some reps were truncated: their partial outcomes
+    are still in the rows.  A row depends only on its rep, so the result
+    is bit-identical to one process running the reps in order.
 
-    workers defaults to the usable cores.  The whole range runs in this
-    process when that leaves one chunk, when fork is unavailable, or when
-    other threads are running (forking them is unsafe).  An exception in a
-    child is raised here with its type and message, and a child that dies
-    is a RuntimeError naming its exit status.  No child outlives the call.
+    The whole range runs in this process when one core is usable, when
+    fork is unavailable, or when other threads are running (forking them
+    is unsafe).  An exception in a child is raised here with its type and
+    message, and a child that dies is a RuntimeError naming its exit
+    status.  No child outlives the call.
     """
-    if workers is None:
-        try:
-            workers = len(os.sched_getaffinity(0))
-        except AttributeError:
-            workers = os.cpu_count() or 1
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
     workers = min(workers, n_reps)
-    if (workers <= 1 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return _run_chunk(work, range(n_reps))
-
     bounds = [n_reps * i // workers for i in range(workers + 1)]
+    chunks = [_run_chunk(work, range(1))]
     children = []  # (pid, read end of its pipe), in rep order
     reaped = set()
     try:
@@ -293,7 +290,8 @@ def _replicate(work, n_reps: int, workers=None):
                 _child(work, range(lo, hi), w)
             os.close(w)
             children.append((pid, r))
-        chunks = [_run_chunk(work, range(bounds[1]))]
+        if bounds[1] > 1:
+            chunks.append(_run_chunk(work, range(1, bounds[1])))
         for pid, r in children:
             with open(r, "rb", closefd=False) as fh:
                 blob = fh.read()
@@ -315,14 +313,19 @@ def _replicate(work, n_reps: int, workers=None):
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return (np.concatenate([rows for rows, _ in chunks]),
-            sum(int(truncated) for _, truncated in chunks))
+    truncated = sum(int(cut) for _, cut in chunks)
+    if truncated:
+        warnings.warn(
+            f"{truncated} of {n_reps} replications hit the event cap before "
+            "the horizon; their partial outcomes are included in the average",
+            RuntimeWarning, stacklevel=3)
+    return np.concatenate([rows for rows, _ in chunks])
 
 
 def empirical_infection_probability(params: SystemParams,
                                     dist: ThresholdDistribution,
                                     k_protected: int, n_reps: int, seed,
-                                    horizon: float = 400.0):
+                                    horizon: float):
     """Fraction of unprotected nodes ever infected, averaged over seeded
     replications, with the standard error of that mean across replications.
 
@@ -339,9 +342,7 @@ def empirical_infection_probability(params: SystemParams,
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
         return res.ever_infected.sum() / n_exposed, res.truncated
 
-    rows, truncated = _replicate(fraction, n_reps)
-    _warn_truncated(truncated, n_reps)
-    fractions = rows[:, 0]
+    fractions = _replicate(fraction, n_reps)[:, 0]
     estimate = float(fractions.mean())
     std_error = float(fractions.std(ddof=1) / np.sqrt(n_reps))
     return estimate, std_error
@@ -359,10 +360,5 @@ def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
         res = simulate_ctmc(params, dist, k_protected, [seed, rep], horizon)
         return res.x_at(t_grid), res.truncated
 
-    rows, truncated = _replicate(path, n_reps)
-    _warn_truncated(truncated, n_reps)
-    # summed one rep at a time, in rep order, as a single loop would
-    acc = np.zeros_like(t_grid)
-    for row in rows:
-        acc += row
-    return t_grid, acc / n_reps
+    # numpy sums axis 0 row after row, in rep order, as one loop would
+    return t_grid, _replicate(path, n_reps).sum(axis=0) / n_reps

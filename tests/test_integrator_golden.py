@@ -25,6 +25,7 @@ import random
 import numpy as np
 import pytest
 
+from virusgame import risk
 from virusgame.cli import main
 from virusgame.dynamics import (SystemParams, ThresholdDistribution,
                                 _column_constants, batch_extinction_stats,
@@ -418,9 +419,20 @@ def _files_digest(directory):
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_sweep_csvs_are_pinned(name, tmp_path):
+def test_sweep_csvs_are_pinned(name, tmp_path, monkeypatch):
+    # every table a builtin sweep reads comes from one batch, or from the
+    # cache
+    calls = []
+    build = risk.batch_extinction_stats
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "batch_extinction_stats", spy)
     run(BUILTINS[name], str(tmp_path))
     assert _files_digest(tmp_path) == SWEEP_CSV_GOLDEN[name]
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("kind", sorted(SIMULATE_CONFIGS))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from virusgame import oracle
 from virusgame.dynamics import SystemParams, ThresholdDistribution, integrate
 from virusgame.oracle import (empirical_infection_probability,
                               mean_infected_path, simulate_ctmc)
@@ -129,10 +130,10 @@ class TestSimulateCtmc:
         with pytest.raises(ValueError):
             simulate_ctmc(SMALL, EXP100, 0, seed=0, horizon=0.0)
 
-    def test_event_cap_truncates(self):
+    def test_event_cap_truncates(self, monkeypatch):
+        monkeypatch.setattr(oracle, "EVENT_CAP", 10)
         busy = dataclasses.replace(SMALL, beta=0.02, x0=5.0)
-        res = simulate_ctmc(busy, EXP100, 0, seed=0, horizon=1000.0,
-                            event_cap=10)
+        res = simulate_ctmc(busy, EXP100, 0, seed=0, horizon=1000.0)
         assert res.truncated
         assert len(res.events) == 10
 

@@ -17,8 +17,9 @@ import random
 import numpy as np
 import pytest
 
+from virusgame import oracle
 from virusgame.dynamics import SystemParams, ThresholdDistribution
-from virusgame.oracle import (DEFAULT_EVENT_CAP, EVENT_CURE, EVENT_INFECT,
+from virusgame.oracle import (EVENT_CAP, EVENT_CURE, EVENT_INFECT,
                               EVENT_SRC_ACTIVATE, EVENT_SRC_DEACTIVATE,
                               SimulationResult, _index_draw, simulate_ctmc)
 
@@ -38,7 +39,8 @@ BUSY = dataclasses.replace(BASE, beta=0.01)
 # sources activate fast enough to be seen
 LIVELY = dataclasses.replace(BASE, beta=4e-3, lambda_influence=0.05)
 
-# name -> (params, dist, k_protected, seed, horizon, event_cap)
+# name -> (params, dist, k_protected, seed, horizon, event cap or None for
+# oracle.EVENT_CAP)
 CASES = {
     "exp100_k0": (BUSY, EXP100, 0, 7, 150.0, None),
     "exp100_x0_k8": (dataclasses.replace(BUSY, x0=2.0), EXP100, 8, 13, 150.0,
@@ -78,10 +80,10 @@ GOLDEN = {
 }
 
 
-def _run(name):
+def _run(name, monkeypatch):
     params, dist, k, seed, horizon, cap = CASES[name]
-    kwargs = {} if cap is None else {"event_cap": cap}
-    return simulate_ctmc(params, dist, k, seed=seed, horizon=horizon, **kwargs)
+    monkeypatch.setattr(oracle, "EVENT_CAP", EVENT_CAP if cap is None else cap)
+    return simulate_ctmc(params, dist, k, seed=seed, horizon=horizon)
 
 
 def _digest(res):
@@ -95,12 +97,12 @@ def _digest(res):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_seeded_result_is_pinned(name):
-    assert _digest(_run(name)) == GOLDEN[name]
+def test_seeded_result_is_pinned(name, monkeypatch):
+    assert _digest(_run(name, monkeypatch)) == GOLDEN[name]
 
 
-def test_matrix_covers_every_event_kind_and_truncation():
-    results = {name: _run(name) for name in CASES}
+def test_matrix_covers_every_event_kind_and_truncation(monkeypatch):
+    results = {name: _run(name, monkeypatch) for name in CASES}
     kinds = {kind for res in results.values() for _, kind, _ in res.events}
     assert kinds == {EVENT_INFECT, EVENT_CURE, EVENT_SRC_ACTIVATE,
                      EVENT_SRC_DEACTIVATE}
@@ -188,15 +190,16 @@ def _random_case(rnd):
     dist = rnd.choice([EXP100, EXP3, UNIF, WEIB, INSTANT])
     k = rnd.choice([0, 1, n // 3, n])
     return (params, dist, k, [rnd.randrange(2**32), 0],
-            rnd.choice([20.0, 150.0]), rnd.choice([DEFAULT_EVENT_CAP, 40]))
+            rnd.choice([20.0, 150.0]), rnd.choice([EVENT_CAP, 40]))
 
 
-def test_matches_rescanning_reference():
+def test_matches_rescanning_reference(monkeypatch):
     rnd = random.Random(2024)
     for _ in range(120):
         case = _random_case(rnd)
         params, dist, k, seed, horizon, cap = case
-        got = simulate_ctmc(params, dist, k, seed, horizon, event_cap=cap)
+        monkeypatch.setattr(oracle, "EVENT_CAP", cap)
+        got = simulate_ctmc(params, dist, k, seed, horizon)
         assert _digest(got) == _digest(reference_ctmc(*case)), case
 
 

@@ -31,20 +31,15 @@ CAPPED = parse_config(CAPPED_CONFIG)
 
 @pytest.fixture
 def capped(monkeypatch):
-    """Route every replication through a 5-event cap; return how many of
-    the 100 replications seeded [3, rep] stop at it.
+    """Cap every replication at 5 events; return how many of the 100
+    replications seeded [3, rep] stop at it.
 
-    The count comes from the unpatched simulation run here, not from the
-    patched calls: forked replication processes inherit the patch, but
+    The count comes from replications run here, not from the ones under
+    test: forked replication processes inherit the patched cap, but
     anything they record stays in their own memory."""
-    real = oracle.simulate_ctmc
-
-    def simulate(*args, **kwargs):
-        return real(*args, event_cap=5, **kwargs)
-
-    monkeypatch.setattr(oracle, "simulate_ctmc", simulate)
-    return sum(real(CAPPED.params, CAPPED.dist, 0, [3, rep], 200.0,
-                    event_cap=5).truncated for rep in range(100))
+    monkeypatch.setattr(oracle, "EVENT_CAP", 5)
+    return sum(oracle.simulate_ctmc(CAPPED.params, CAPPED.dist, 0, [3, rep],
+                                    200.0).truncated for rep in range(100))
 
 
 def test_truncated_reps_are_reported(capped):

@@ -1,7 +1,7 @@
 """The oracle's replications split across forked processes: same bits as
 one process, errors carried back, and no process left behind."""
 
-import functools
+import dataclasses
 import os
 import threading
 import time
@@ -27,14 +27,12 @@ def no_child_left():
 
 
 @pytest.fixture
-def with_workers(monkeypatch):
-    """Run the public functions' replications on a given number of
-    workers."""
-    real = oracle._replicate
-
-    def use(workers):
-        monkeypatch.setattr(oracle, "_replicate",
-                            functools.partial(real, workers=workers))
+def cores(monkeypatch):
+    """cores(n) makes n cores usable, so the replications split into n
+    chunks (fewer when there are fewer reps)."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
 
     return use
 
@@ -60,57 +58,66 @@ def reference_path(params, n_reps, seed, horizon, dt):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_estimate_bits_do_not_depend_on_workers(with_workers, workers):
+def test_estimate_bits_do_not_depend_on_workers(cores, workers):
     expected = reference_estimate(N50, 10, 101, 5, 400.0)
-    with_workers(workers)
+    cores(workers)
     got = oracle.empirical_infection_probability(N50, EXP100, 10, 101, 5,
                                                  horizon=400.0)
     assert got == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_mean_path_bits_do_not_depend_on_workers(with_workers, workers):
+def test_mean_path_bits_do_not_depend_on_workers(cores, workers):
     expected = reference_path(N50, 101, 9, 200.0, 1.0)
-    with_workers(workers)
+    cores(workers)
     _, got = oracle.mean_infected_path(N50, EXP100, 0, 101, 9,
                                        horizon=200.0, dt=1.0)
     assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_rows_in_rep_order_and_truncations_summed(workers):
-    rows, truncated = oracle._replicate(
-        lambda rep: ([rep, -rep], rep % 3 == 0), 101, workers=workers)
+def test_rows_in_rep_order_and_truncations_summed(cores, workers):
+    cores(workers)
+    with pytest.warns(RuntimeWarning) as record:
+        rows = oracle._replicate(lambda rep: ([rep, -rep], rep % 3 == 0), 101)
     np.testing.assert_array_equal(rows, [[r, -r] for r in range(101)])
     assert rows.dtype == np.float64
-    assert truncated == 34
+    assert len(record) == 1
+    assert str(record[0].message).startswith("34 of 101 replications")
 
 
-def test_more_workers_than_reps():
-    rows, truncated = oracle._replicate(lambda rep: (rep, True), 2,
-                                        workers=8)
+def test_more_workers_than_reps(cores):
+    cores(8)
+    with pytest.warns(RuntimeWarning, match="^2 of 2 replications"):
+        rows = oracle._replicate(lambda rep: (rep, True), 2)
     np.testing.assert_array_equal(rows, [[0.0], [1.0]])
-    assert truncated == 2
 
 
-def pids_of_reps(n_reps, workers):
-    rows, _ = oracle._replicate(lambda rep: (os.getpid(), False), n_reps,
-                                workers=workers)
+def test_one_rep(cores):
+    cores(2)
+    np.testing.assert_array_equal(
+        oracle._replicate(lambda rep: ([rep, 7], False), 1), [[0.0, 7.0]])
+
+
+def pids_of_reps(n_reps):
+    rows = oracle._replicate(lambda rep: (os.getpid(), False), n_reps)
     return rows[:, 0].astype(int)
 
 
-def test_chunks_after_the_first_run_in_children():
-    pids = pids_of_reps(100, 2)
+def test_chunks_after_the_first_run_in_children(cores):
+    cores(2)
+    pids = pids_of_reps(100)
     assert (pids[:50] == os.getpid()).all()
     assert len(set(pids[50:])) == 1 and pids[50] != os.getpid()
 
 
-def test_in_process_while_other_threads_run():
+def test_in_process_while_other_threads_run(cores):
+    cores(2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(30,))
     thread.start()
     try:
-        pids = pids_of_reps(100, 2)
+        pids = pids_of_reps(100)
     finally:
         stop.set()
         thread.join(timeout=30)
@@ -118,9 +125,10 @@ def test_in_process_while_other_threads_run():
     assert (pids == os.getpid()).all()
 
 
-def test_in_process_without_fork(monkeypatch):
+def test_in_process_without_fork(cores, monkeypatch):
+    cores(2)
     monkeypatch.delattr(os, "fork")
-    assert (pids_of_reps(100, 2) == os.getpid()).all()
+    assert (pids_of_reps(100) == os.getpid()).all()
 
 
 def fail_from(first_bad):
@@ -131,15 +139,17 @@ def fail_from(first_bad):
     return work
 
 
-def test_child_error_raised_with_its_type_and_message():
+def test_child_error_raised_with_its_type_and_message(cores):
+    cores(2)
     with pytest.raises(ValueError, match=r"^rep 60 refused$"):
-        oracle._replicate(fail_from(60), 100, workers=2)
+        oracle._replicate(fail_from(60), 100)
 
 
-def test_first_failing_rep_wins_across_children():
+def test_first_failing_rep_wins_across_children(cores):
+    cores(3)
     # chunks 33..65 and 66..99 both fail; rep order decides which is raised
     with pytest.raises(ValueError, match=r"^rep 60 refused$"):
-        oracle._replicate(fail_from(60), 100, workers=3)
+        oracle._replicate(fail_from(60), 100)
 
 
 class TwoArgs(Exception):
@@ -149,7 +159,9 @@ class TwoArgs(Exception):
         super().__init__(f"{a} and {b}")
 
 
-def test_child_error_that_cannot_travel_becomes_runtime_error():
+def test_child_error_that_cannot_travel_becomes_runtime_error(cores):
+    cores(2)
+
     class Local(Exception):
         pass
 
@@ -161,27 +173,72 @@ def test_child_error_that_cannot_travel_becomes_runtime_error():
             return rep, False
 
         with pytest.raises(RuntimeError, match=f"^{text}$"):
-            oracle._replicate(work, 100, workers=2)
+            oracle._replicate(work, 100)
 
 
-def test_dead_child_is_a_runtime_error():
+def test_dead_child_is_a_runtime_error(cores):
+    cores(2)
+
     def work(rep):
         if rep >= 50:
             os._exit(7)
         return rep, False
 
     with pytest.raises(RuntimeError, match="exited with status 7"):
-        oracle._replicate(work, 100, workers=2)
+        oracle._replicate(work, 100)
 
 
-def test_parent_error_kills_and_reaps_children():
+def test_parent_error_kills_and_reaps_children(cores):
+    cores(2)
+
+    # rep 0 runs before the fork; rep 1 fails after it
     def work(rep):
-        if rep == 0:
+        if rep == 1:
             raise KeyError("parent chunk")
-        time.sleep(60)  # a child would outlive the test without a kill
+        if rep > 1:
+            time.sleep(60)  # a child would outlive the test without a kill
         return rep, False
 
     start = time.monotonic()
     with pytest.raises(KeyError, match="parent chunk"):
-        oracle._replicate(work, 100, workers=2)
+        oracle._replicate(work, 100)
     assert time.monotonic() - start < 30
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made from now on, as a one-item list."""
+    count = [0]
+    real = os.fork
+
+    def fork():
+        count[0] += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return count
+
+
+BAD_STARTS = [
+    ({"x0": 2.5}, 0, 3, "x0 must be a whole number, got 2.5"),
+    ({"s0": 2.5}, 0, 3, "s0 must be a whole number, got 2.5"),
+    ({}, 2.5, 3, "k_protected must be a whole number, got 2.5"),
+    ({}, 0, -1, "negative"),
+]
+
+
+@pytest.mark.parametrize("change, k, seed, match", BAD_STARTS,
+                         ids=["x0", "s0", "k_protected", "seed"])
+@pytest.mark.parametrize("entry", ["estimate", "mean_path"])
+def test_bad_start_refused_before_any_fork(cores, forks, entry, change, k,
+                                           seed, match):
+    cores(2)
+    params = dataclasses.replace(N50, **change)
+    with pytest.raises(ValueError, match=match):
+        if entry == "estimate":
+            oracle.empirical_infection_probability(params, EXP100, k, 100,
+                                                   seed, horizon=50.0)
+        else:
+            oracle.mean_infected_path(params, EXP100, k, 100, seed,
+                                      horizon=50.0, dt=1.0)
+    assert forks == [0]

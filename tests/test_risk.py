@@ -238,3 +238,19 @@ class TestRiskProfile:
                            for z in (0.0, -0.0)))
         assert widths == []
         assert got.tobytes() == cold.tobytes()
+
+    def test_cache_evicts_the_least_recently_used_roster(self, monkeypatch):
+        monkeypatch.setattr(risk, "_CACHE", OrderedDict())
+        rosters = [dataclasses.replace(CAP_ROSTER, n_nodes=2, beta=1e-3 * i)
+                   for i in range(risk.CACHE_SIZE + 1)]
+        for p in rosters[:-1]:
+            risk_profile(p, EXP100, horizon=1.0)
+        risk_profile(rosters[0], EXP100, horizon=1.0)  # now roster 1 is LRU
+        risk_profile(rosters[-1], EXP100, horizon=1.0)
+        assert len(risk._CACHE) == risk.CACHE_SIZE
+        widths = _batch_widths(monkeypatch)
+        for p in (rosters[0], rosters[2], rosters[-1]):
+            risk_profile(p, EXP100, horizon=1.0)
+        assert widths == []
+        risk_profile(rosters[1], EXP100, horizon=1.0)
+        assert widths == [3]
