@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-# numpy loads numpy.random on first use; load it with this module instead,
-# so a run's first replication does not pay for the import
-from numpy.random import default_rng
 
 from .dynamics import (SystemParams, ThresholdDistribution, _constant_hazard,
                        step_count, whole_count)
@@ -53,8 +50,8 @@ def _index_draw(rng: np.random.Generator):
 
     Preconditions: n lies in 1..2**32, and rng is fresh and serves no
     other 32-bit draws, whose spare half-word would be rng's own and not
-    draw's.  exponential and random read whole 64-bit words, so they may
-    interleave freely.
+    draw's.  exponential, standard_exponential, random and random_raw
+    read whole 64-bit words, so they may interleave freely.
     """
     raw = rng.bit_generator.random_raw
     spare = None
@@ -114,10 +111,17 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     The node and source sets are kept between events as sorted lists, so
     an event costs O(log) lookups plus a list shift instead of rescans of
     every node and source.  Draw i of a set picks its i-th smallest member,
-    as a boolean-mask scan would.  Each event makes three draws: the time
-    since the last event with rng.exponential, its reaction with
-    rng.random and its member with _index_draw, which returns the index
-    Generator.integers would from the same words.
+    as a boolean-mask scan would.  Each event makes three draws, each the
+    bits a Generator method would return from the same words, without its
+    per-call argument handling: the time since the last event as
+    (1/total) * standard_exponential(), which is how exponential(1/total)
+    scales it; its reaction as total times the top 53 bits of one raw
+    64-bit word over 2**53, which is random(); and its member with
+    _index_draw, which returns the index integers would.
+
+    numpy.random is imported by the first call, not with this module, so
+    no other command loads it.  _replicate runs replication 0 in the
+    calling process before it forks, so every forked child inherits it.
     """
     k_protected = whole_count("k_protected", k_protected)
     if not 0 <= k_protected <= params.n_nodes:
@@ -127,13 +131,20 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     n = params.n_nodes
     x0 = min(whole_count("x0", params.x0), n - k_protected)
     s0 = whole_count("s0", params.s0)
+    # imported here: numpy.random brings secrets, hashlib and OpenSSL, some
+    # 6 MB that no command but the oracle needs
+    from numpy.random import default_rng
     rng = default_rng(seed)
+    exponential = rng.standard_exponential
+    raw = rng.bit_generator.random_raw
     draw = _index_draw(rng)
 
     infected = list(range(k_protected, k_protected + x0))
     susceptible = list(range(k_protected + x0, n))
     active = list(range(s0))
     inactive = list(range(s0, params.n_sources))
+    # the four set sizes, kept as ints: the loop reads each every event
+    x, n_sus, s, n_inact = x0, len(susceptible), s0, len(inactive)
 
     beta, gamma, delta = params.beta, params.gamma, params.delta
     delta_s, lam = params.delta_s, params.lambda_influence
@@ -160,50 +171,55 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     truncated = False
 
     while True:
-        x = len(infected)
-        s = len(active)
-        r_inf = (beta * x + gamma * s) * len(susceptible)
+        r_inf = (beta * x + gamma * s) * n_sus
         r_cure = delta * x
         r_deact = delta_s * s
-        r_act = lam_h * len(inactive)
+        r_act = lam_h * n_inact
         total = r_inf + r_cure + r_deact + r_act
         if total <= 0:
             break
-        t += rng.exponential(1.0 / total)
+        t += (1.0 / total) * exponential()
         if t >= horizon:
             break
         if len(events) >= event_cap:
             truncated = True
             break
 
-        # rng.uniform(0.0, total) computes 0.0 + total * rng.random(); the
-        # product alone is the same double from the same draw, without
-        # uniform's argument checks
-        u = total * rng.random()
+        # rng.uniform(0.0, total) computes 0.0 + total * rng.random(), and
+        # random() is a raw word's top 53 bits over 2**53: the same double
+        u = total * ((raw() >> 11) * 2**-53)
         if u < r_inf:
-            target = susceptible.pop(draw(len(susceptible)))
+            target = susceptible.pop(draw(n_sus))
             insort(infected, target)
+            n_sus -= 1
+            x += 1
             ever_infected[target] = True
             cum += 1
             if h_exp is None:
                 lam_h = lam_hazard(cum)
             events.append((t, EVENT_INFECT, target))
         elif u < r_inf + r_cure:
-            target = infected.pop(draw(len(infected)))
+            target = infected.pop(draw(x))
             insort(susceptible, target)
+            x -= 1
+            n_sus += 1
             events.append((t, EVENT_CURE, target))
         elif u < r_inf + r_cure + r_deact:
-            target = active.pop(draw(len(active)))
+            target = active.pop(draw(s))
             insort(inactive, target)
+            s -= 1
+            n_inact += 1
             events.append((t, EVENT_SRC_DEACTIVATE, target))
         else:
-            target = inactive.pop(draw(len(inactive)))
+            target = inactive.pop(draw(n_inact))
             insort(active, target)
+            n_inact -= 1
+            s += 1
             events.append((t, EVENT_SRC_ACTIVATE, target))
 
         times.append(t)
-        x_path.append(len(infected))
-        s_path.append(len(active))
+        x_path.append(x)
+        s_path.append(s)
 
     return SimulationResult(events=events, times=np.array(times),
                             x_path=np.array(x_path), s_path=np.array(s_path),
@@ -251,7 +267,8 @@ def _replicate(work, n_reps: int) -> np.ndarray:
 
     work returns one replication's row (a float or a 1-D array) and whether
     it was truncated.  Rep 0 runs in this process before anything else, so
-    a start that every rep refuses raises here before any fork.  The reps
+    a start that every rep refuses raises here before any fork, and the
+    forked children inherit the numpy.random that rep 0 loads.  The reps
     are then split into contiguous chunks, one per usable core; this
     process runs the rest of the first chunk and a forked child each of
     the others, sending its rows back through a pipe.  Returns the rows as

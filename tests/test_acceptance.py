@@ -20,7 +20,8 @@ from virusgame.experiments import (FIG8_BETA_RATIOS, fig8_ratio_variants,
 from virusgame.equilibrium import gap_table
 from virusgame.oracle import (empirical_infection_probability,
                               mean_infected_path)
-from virusgame.risk import infection_probability, remaining_risk, risk_profile
+from virusgame.risk import (infection_probability, remaining_risk,
+                            risk_profile, risk_profiles)
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 
@@ -117,18 +118,21 @@ def test_criterion_04_mixer_reduces_to_mixed():
     rng = np.random.default_rng(20240501)
     worst = 0.0
     agree = True
-    for _ in range(20):
-        n = int(rng.integers(20, 61))
-        params = SystemParams(
-            n_nodes=n, n_sources=int(rng.integers(5, 31)),
-            beta=float(rng.uniform(1e-4, 3e-3)),
-            gamma=float(rng.uniform(1e-4, 3e-3)),
-            delta=float(rng.uniform(0.05, 0.3)),
-            delta_s=float(rng.uniform(0.05, 0.3)),
-            lambda_influence=float(rng.uniform(0.0, 1e-3)),
-            x0=0.0, s0=float(rng.integers(1, 6)),
-            infection_cost=1.0, update_cost=float(rng.uniform(0.02, 0.3)))
-        table = risk_profile(params, EXP100, horizon=400.0)
+    sets = [SystemParams(
+        n_nodes=int(rng.integers(20, 61)),
+        n_sources=int(rng.integers(5, 31)),
+        beta=float(rng.uniform(1e-4, 3e-3)),
+        gamma=float(rng.uniform(1e-4, 3e-3)),
+        delta=float(rng.uniform(0.05, 0.3)),
+        delta_s=float(rng.uniform(0.05, 0.3)),
+        lambda_influence=float(rng.uniform(0.0, 1e-3)),
+        x0=0.0, s0=float(rng.integers(1, 6)),
+        infection_cost=1.0, update_cost=float(rng.uniform(0.02, 0.3)))
+        for _ in range(20)]
+    # one batch steps all 20 tables: a batch step costs nearly the same at
+    # one column and at hundreds
+    tables = risk_profiles(sets, EXP100, horizon=400.0)
+    for params, table in zip(sets, tables):
         mixed = eq.mixed_ne(table, params)
         mixer = eq.mixer_nonmixer_ne(0, 0, table, params)
         if isinstance(mixed, eq.NoInteriorEquilibrium):

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from functools import partial
 
@@ -13,7 +15,7 @@ from scipy.stats import binom
 from virusgame import equilibrium as eq
 from virusgame.dynamics import SystemParams, ThresholdDistribution
 from virusgame.equilibrium import gap_table
-from virusgame.risk import risk_profile
+from virusgame.risk import risk_profile, risk_profiles
 
 EXP100 = ThresholdDistribution.exponential(100.0)
 
@@ -115,19 +117,55 @@ class TestBinomPmf:
                     eq._binom_pmf(m, p)
 
 
-def test_import_loads_no_scipy():
-    """scipy is a test dependency only; importing it costs about a second
-    of every CLI call's start-up."""
+def _run_fresh(code, *args):
+    """stdout of code run in a fresh interpreter that imports this
+    checkout's package."""
     src = os.path.dirname(os.path.dirname(eq.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only; importing it costs about a second
+    of every CLI call's start-up."""
     code = ("import sys, virusgame, virusgame.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_only_the_oracle_loads_numpy_random(tmp_path):
+    """numpy.random brings secrets, hashlib and OpenSSL, some 6 MB of every
+    process that loads it: a sweep and an equilibrium never do, and the
+    first oracle replication does."""
+    config = {"n_nodes": 20, "n_sources": 5, "beta": 1e-3, "gamma": 1e-3,
+              "delta": 0.1, "delta_s": 0.1, "lambda_influence": 5e-6,
+              "x0": 0.0, "s0": 2.0, "infection_cost": 1.0,
+              "update_cost": 0.1, "horizon": 50.0, "dt": 0.1}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": "tiny", "config": config,
+        "sweep": {"param": "p", "values": [0.1, 0.5]},
+        "outputs": ["infection_probability", "p_star"]}))
+    code = textwrap.dedent("""\
+        import sys, virusgame, virusgame.cli
+        from virusgame.config import load_config
+        config, spec, out = sys.argv[1:]
+        assert virusgame.cli.main(["sweep", "--spec", spec, "--out", out]) == 0
+        assert virusgame.cli.main(["equilibrium", "--config", config]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+        cfg = load_config(config)
+        virusgame.simulate_ctmc(cfg.params, cfg.dist, 0, 1, 10.0)
+        print("numpy.random" in sys.modules)
+        """)
+    lines = _run_fresh(code, str(config_path), str(spec_path),
+                       str(tmp_path / "out")).splitlines()
+    assert lines[-2:] == ["[]", "True"]
 
 
 class TestPureNE:
@@ -296,8 +334,9 @@ class TestMixerNonMixer:
         assert abs(mixer.p_star - mixed.p_star) <= 1e-9
 
     def test_reduction_on_random_parameter_sets(self):
-        for params in random_param_sets(5, seed=20240817):
-            risk = risk_profile(params, EXP100, horizon=400.0)
+        sets = random_param_sets(5, seed=20240817)
+        for params, risk in zip(sets, risk_profiles(sets, EXP100,
+                                                    horizon=400.0)):
             mixed = eq.mixed_ne(risk, params)
             mixer = eq.mixer_nonmixer_ne(0, 0, risk, params)
             if isinstance(mixed, eq.NoInteriorEquilibrium):

@@ -211,17 +211,23 @@ INDEX_BOUNDS = [1, 2, 3, 5, 64, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1,
 
 @pytest.mark.parametrize("seed", range(6))
 def test_index_draw_matches_generator_integers(seed):
+    """The oracle's three draws give the bits of the Generator methods they
+    stand for: _index_draw those of integers, and, in between, its time
+    and reaction draws those of exponential and random."""
     pick = random.Random(seed)
     for rep in range(4):
         mine = np.random.default_rng([seed, rep])
         ref = np.random.default_rng([seed, rep])
         draw = _index_draw(mine)
+        raw = mine.bit_generator.random_raw
         for _ in range(1500):
             n = pick.choice(INDEX_BOUNDS)
             assert draw(n) == ref.integers(n), (seed, rep, n)
             # 64-bit-word draws in between leave the spare half-word alone
             other = pick.randrange(3)
             if other == 0:
-                assert mine.random() == ref.random()
+                assert ((raw() >> 11) * 2**-53).hex() == ref.random().hex()
             elif other == 1:
-                assert mine.exponential(2.5) == ref.exponential(2.5)
+                scale = 10.0 ** pick.uniform(-300.0, 300.0)
+                assert ((scale * mine.standard_exponential()).hex()
+                        == ref.exponential(scale).hex()), scale
