@@ -222,81 +222,110 @@ class _Stepper:
     exponential hazard is the constant 1/mean where every column has
     x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
     hazard keeps the last finite value ``h_last`` and sets ``saturated``.
+
+    The test "every x_bar >= 0", four times a step, reads the entry
+    ``argmin`` points at: ``argmin`` is a C method, where ``ndarray.min``
+    passes through a Python wrapper at several times its cost.  It points
+    at the first NaN when there is one, so the test is False on a NaN as
+    on a negative entry, and True on -0.0, where ``dist.hazard`` gives
+    1/mean too.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
                  dt: float):
-        self.c, self.dist = c, dist
-        self.dt, self.half, self.sixth = dt, 0.5 * dt, dt / 6.0
-        self.h_exp = _constant_hazard(dist)
+        self.c, self.dist, self.dt = c, dist, dt
+        h_exp = _constant_hazard(dist)
+        # lambda * (1/mean) per column, or None where the hazard varies
+        self.lam_h = None if h_exp is None else c.lambda_influence * h_exp
+        # at least one column, for argmin: batch_extinction_stats returns
+        # before it builds a stepper for none
         n = len(c.k)
         self.h_last, self.saturated = np.zeros(n), np.zeros(n, bool)
         self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
         self.caps = np.array([c.n_nodes - c.k, c.n_sources])
         # bounds of the clipped rows x and s
         self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0), c.n_sources])
-        self.lam_h = c.lambda_influence * (self.h_exp or 0.0)
         self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
         self.lamh, self.stage = np.empty(n), np.empty((3, n))
-        self.views = (self.prod[0, 0], self.prod[0, 1], self.prod[1],
-                      self.room[0], self.room[1])
-        # derivatives (dx, ds, dx_bar = force, activation term) and views
-        # into them
-        self.k1, self.kj = ((d[:3], d[2], d[3], d[2:], d[:2])
-                            for d in np.empty((2, 4, n)))
+        # derivatives (dx, ds, dx_bar = force, activation term) of k1,
+        # which then gathers the step's slope, and of k2, k3, k4 in turn
+        d1, d = self.derivs = np.empty((2, 4, n))
+        # scalar operands as 0-d arrays: numpy runs the loop it runs for a
+        # Python float, without converting the float on every call
+        self.zero, self.two, half, whole, self.sixth = map(
+            np.array, (0.0, 2.0, 0.5 * dt, dt, dt / 6.0))
+        # per stage: the slope that leads from y0 to its point and the step
+        # along it (none for k1, taken at y0), whether its slope counts
+        # twice, and the rows it writes: force, activation term,
+        # (force, act), (dx, ds)
+        self.stages = tuple(
+            (lead, step, twice, r[2], r[3], r[2:], r[:2])
+            for lead, step, twice, r in (
+                (None, None, False, d1), (d1[:3], half, True, d),
+                (d[:3], half, True, d), (d[:3], whole, False, d)))
 
     def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
-        if self.h_exp is not None and x_bar.min(initial=0.0) >= 0.0:
-            return self.lam_h
+        """lambda * dist.hazard(x_bar), a saturated entry replaced by its
+        column's last finite hazard."""
         h = self.dist.hazard(x_bar)
         bad = ~np.isfinite(h)
         if bad.any():
             self.saturated |= bad
             h = np.where(bad, self.h_last, h)
         self.h_last = h
-        return np.multiply(self.c.lambda_influence, h, out=self.lamh)
-
-    def _rhs(self, y: np.ndarray, d: tuple) -> None:
-        """d = (dx, ds, dx_bar = force) at the state y, where
-        force = (beta*x + gamma*s) * max(N-k-x, 0), dx = -delta*x + force
-        and ds = -delta_s*s + (lambda*h)*(n_s-s)."""
-        _, force, act, tail, head = d
-        bx, gs, decay, pool, free_s = self.views
-        xs = y[:2]
-        np.multiply(self.rates, xs, out=self.prod)  # [[bx, gs], decay]
-        np.subtract(self.caps, xs, out=self.room)  # [N - k - x, n_s - s]
-        np.maximum(pool, 0.0, out=pool)
-        np.add(bx, gs, out=force)
-        np.multiply(force, pool, out=force)
-        np.multiply(self._lam_hazard(y[2]), free_s, out=act)
-        np.add(decay, tail, out=head)
-
-    def step(self, y0: np.ndarray, out: np.ndarray) -> None:
-        """Write the clipped state one step after y0 into out, x_bar kept
-        nondecreasing."""
-        y, acc, d = self.stage, self.k1[0], self.kj[0]
-        self._rhs(y0, self.k1)
-        k = acc                                 # k1, then k2 and k3
-        for c, w in ((self.half, 2.0), (self.half, 2.0), (self.dt, 1.0)):
-            np.multiply(k, c, out=y)
-            np.add(y0, y, out=y)
-            self._rhs(y, self.kj)               # k2, k3, k4
-            # acc = ((k1 + 2k2) + 2k3) + k4
-            np.add(acc, d if w == 1.0 else np.multiply(d, w, out=y), out=acc)
-            k = d
-        np.multiply(acc, self.sixth, out=acc)
-        np.add(y0, acc, out=out)
-        # np.clip's bits (NaN stays, -0.0 becomes 0.0) in two cheaper calls
-        ends = out[:2]
-        np.maximum(ends, 0.0, out=ends)
-        np.minimum(ends, self.hi, out=ends)
-        np.maximum(out[2], y0[2], out=out[2])
+        return np.multiply(self.c.lambda_influence, h, self.lamh)
 
     def advance(self, states: np.ndarray, i0: int) -> None:
-        """Step states[0] into states[1:] (steps i0+1, i0+2, ...); raise
-        RuntimeError at the first state that is not finite."""
+        """Step states[0] into states[1:] (steps i0+1, i0+2, ...), each
+        state clipped and x_bar kept nondecreasing; raise RuntimeError at
+        the first state that is not finite.
+
+        A stage writes the derivative (dx, ds, dx_bar = force) at its point,
+        where force = (beta*x + gamma*s) * max(N-k-x, 0), dx = -delta*x +
+        force and ds = -delta_s*s + (lambda*h)*(n_s-s); k1's rows gather
+        ((k1 + 2k2) + 2k3) + k4.  The ufuncs and views are bound once a
+        block, with no method call or tuple of views per stage.  np.add,
+        np.multiply and np.subtract take ``out`` positionally, which skips
+        numpy's keyword handling; np.maximum and np.minimum keep ``out=``,
+        as numpy 2.4 deprecates a positional one there."""
+        add, mul, sub = np.add, np.multiply, np.subtract
+        maximum, minimum = np.maximum, np.minimum
+        rates, caps, hi, y = self.rates, self.caps, self.hi, self.stage
+        prod, room, stages = self.prod, self.room, self.stages
+        bx, gs, decay = prod[0, 0], prod[0, 1], prod[1]
+        pool, free_s = room
+        y_xs, y_xb = y[:2], y[2]
+        acc, d = self.derivs[:, :3]
+        lam_h, lam_hazard = self.lam_h, self._lam_hazard
+        zero, two, sixth = self.zero, self.two, self.sixth
+        y0 = states[0]
+        xs0, xb0 = y0[:2], y0[2]
         for j in range(1, len(states)):
-            self.step(states[j - 1], states[j])
+            xs, xb = xs0, xb0
+            for lead, step, twice, force, act, tail, head in stages:
+                if lead is not None:
+                    mul(lead, step, y)
+                    add(y0, y, y)
+                    xs, xb = y_xs, y_xb
+                mul(rates, xs, prod)            # [[bx, gs], decay]
+                sub(caps, xs, room)             # [N - k - x, n_s - s]
+                maximum(pool, zero, out=pool)
+                add(bx, gs, force)
+                mul(force, pool, force)
+                mul(lam_h if lam_h is not None and xb[xb.argmin()] >= 0.0
+                    else lam_hazard(xb), free_s, act)
+                add(decay, tail, head)
+                if lead is not None:
+                    add(acc, mul(d, two, y) if twice else d, acc)
+            mul(acc, sixth, acc)
+            out = states[j]
+            add(y0, acc, out)
+            # np.clip's bits (NaN stays, -0.0 becomes 0.0) in two cheaper calls
+            ends, xb1 = out[:2], out[2]
+            maximum(ends, zero, out=ends)
+            minimum(ends, hi, out=ends)
+            maximum(xb1, xb0, out=xb1)
+            y0, xs0, xb0 = out, ends, xb1
         if not np.isfinite(states[1:]).all():
             j, col = np.argwhere(~np.isfinite(states[1:]).all(axis=1))[0]
             raise _non_finite(i0 + 1 + j, self.dt, self.c.k[col],
@@ -314,11 +343,11 @@ def integrate(params: SystemParams, k_protected: float,
     horizon is reached.
 
     One recorded column steps in Python floats: a ``_Stepper`` step costs
-    some 46 numpy calls whatever its column count, many times the
-    arithmetic of one column.  Every operation groups its operands as
-    ``_Stepper`` does, the hazard falls back and saturates as there, and
-    the clip keeps the sign of a zero as ``np.clip`` does with scalar
-    bounds."""
+    44 ufunc calls and four ``argmin``s whatever its column count, about
+    12 times the float loop's step on one column.  Every operation groups
+    its operands as ``_Stepper`` does, the hazard falls back and saturates
+    as there, and the clip keeps the sign of a zero as ``np.clip`` does
+    with scalar bounds."""
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
     k = float(k_protected)

@@ -92,6 +92,24 @@ class SimulationResult:
         return self.x_path[np.maximum(idx, 0)]
 
 
+def _start(params: SystemParams, k_protected, seed, horizon: float):
+    """A replication's checked start: k_protected, x0 (clipped to the N - k
+    unprotected nodes) and s0 as ints, and the generator seeded with seed.
+    Refuses a fractional count, a k_protected outside 0..n_nodes, a horizon
+    that is not positive and finite, and a seed numpy refuses."""
+    k_protected = whole_count("k_protected", k_protected)
+    if not 0 <= k_protected <= params.n_nodes:
+        raise ValueError("k_protected must lie in 0..n_nodes")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be positive and finite")
+    x0 = min(whole_count("x0", params.x0), params.n_nodes - k_protected)
+    s0 = whole_count("s0", params.s0)
+    # imported here: numpy.random brings secrets, hashlib and OpenSSL, some
+    # 6 MB that no command but the oracle needs
+    from numpy.random import default_rng
+    return k_protected, x0, s0, default_rng(seed)
+
+
 def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
                   k_protected: int, seed, horizon: float) -> SimulationResult:
     """Gillespie direct-method simulation of the full agent system.
@@ -123,18 +141,8 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     no other command loads it.  _replicate runs replication 0 in the
     calling process before it forks, so every forked child inherits it.
     """
-    k_protected = whole_count("k_protected", k_protected)
-    if not 0 <= k_protected <= params.n_nodes:
-        raise ValueError("k_protected must lie in 0..n_nodes")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be positive and finite")
+    k_protected, x0, s0, rng = _start(params, k_protected, seed, horizon)
     n = params.n_nodes
-    x0 = min(whole_count("x0", params.x0), n - k_protected)
-    s0 = whole_count("s0", params.s0)
-    # imported here: numpy.random brings secrets, hashlib and OpenSSL, some
-    # 6 MB that no command but the oracle needs
-    from numpy.random import default_rng
-    rng = default_rng(seed)
     exponential = rng.standard_exponential
     raw = rng.bit_generator.random_raw
     draw = _index_draw(rng)
@@ -347,12 +355,16 @@ def empirical_infection_probability(params: SystemParams,
     replications, with the standard error of that mean across replications.
 
     A replication that hits the event cap counts with its partial outcome,
-    and a RuntimeWarning names how many did.
+    and a RuntimeWarning names how many did.  With every node protected
+    the result is (0.0, 0.0), once the start passes the checks every
+    replication makes.
     """
     if n_reps < 100:
         raise ValueError("need at least 100 replications")
     n_exposed = params.n_nodes - k_protected
     if n_exposed == 0:
+        # nothing to simulate: check the start as replication 0 would
+        _start(params, k_protected, [seed, 0], horizon)
         return 0.0, 0.0
 
     def fraction(rep):

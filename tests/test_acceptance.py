@@ -175,9 +175,10 @@ def test_criterion_05_monotonicity_suite():
                     and at_star.boundary == 0)
 
     # U_c* increasing across three transmission/curing ratios
-    u_stars = []
-    for spec in fig8_ratio_variants():
-        u_stars.append(eq.critical_update_cost(spec.config.params, EXP100))
+    variants = [spec.config.params for spec in fig8_ratio_variants()]
+    # one batch builds the three tables; each call below reads its own
+    risk_profiles(variants, EXP100)
+    u_stars = [eq.critical_update_cost(params, EXP100) for params in variants]
     ratio_mono = u_stars[0] < u_stars[1] < u_stars[2]
 
     ok = risk_mono and n_mono and cost_mono and zero_at_star and ratio_mono

@@ -387,6 +387,82 @@ def test_batch_column_matches_integrate(case):
     assert integral[0] == infection_probability(traj, params).hazard_integral
 
 
+# With s0 = 0 and lambda = 0, s stays 0 and x is logistic:
+# dx/dt = x*(r - beta*x) with r = beta*(N - k) - delta, so
+#   x(t) = r*x0*e^(rt) / (r + beta*x0*(e^(rt) - 1)),
+# the hazard integral of beta*x is H(t) = ln(1 + beta*x0*(e^(rt) - 1)/r),
+# and x_bar = x + (delta/beta)*H, as x_bar' - x' = delta*x.
+LOGISTIC = SystemParams(n_nodes=300, n_sources=10, beta=1e-3, gamma=1e-3,
+                        delta=0.2, delta_s=0.1, lambda_influence=0.0,
+                        x0=10.0, s0=0.0, infection_cost=1.0,
+                        update_cost=0.1)
+
+
+def _logistic(k, t):
+    """Exact (x, x_bar, H) of LOGISTIC at protection k and times t."""
+    p = LOGISTIC
+    r = p.beta * (p.n_nodes - k) - p.delta
+    grow = np.expm1(r * np.asarray(t))
+    x = r * p.x0 * (grow + 1.0) / (r + p.beta * p.x0 * grow)
+    hazard = np.log1p(p.beta * p.x0 * grow / r)
+    return x, x + p.delta / p.beta * hazard, hazard
+
+
+class TestExactLogistic:
+    """Accuracy against the exact logistic solution, at dt = 0.2, 0.1 and
+    0.05.  RK4 makes the state's error fall about 16-fold per halving of
+    dt (its 4th order), and the trapezoid of the hazard makes P_i's fall
+    about 4-fold (its 2nd order); each ratio must lie within 12.5% of
+    that.  P_i is compared with 1 - exp(-H(t_f)) at the sampled t_f.
+    Measured at dt = 0.1: state errors 6.1e-10 (r = -0.1) and 9.9e-9
+    (r = +0.1), P_i errors 8.3e-7 and 3.4e-10 (P_i is near 1 there); the
+    bounds below are about twice those."""
+
+    # (k, horizon, state bound, P_i bound at dt = 0.1); r = -0.1 goes
+    # extinct at t_f = 91.2, r = +0.1 settles at x = 100 and truncates
+    CASES = {"subcritical": (200.0, 200.0, 1.5e-9, 1.7e-6),
+             "supercritical": (0.0, 100.0, 2e-8, 7e-10)}
+    DTS = (0.2, 0.1, 0.05)
+
+    @staticmethod
+    def _ratios(errors):
+        return [a / b for a, b in zip(errors, errors[1:])]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_integrate(self, case):
+        k, horizon, state_bound, p_bound = self.CASES[case]
+        state_err, p_err = [], []
+        for dt in self.DTS:
+            traj = integrate(LOGISTIC, k, EXP100, horizon=horizon, dt=dt)
+            assert not traj.s.any()
+            x, x_bar, _ = _logistic(k, traj.t)
+            state_err.append(max(np.abs(traj.x - x).max(),
+                                 np.abs(traj.x_bar - x_bar).max()))
+            risk = infection_probability(traj, LOGISTIC)
+            assert risk.truncated == (case == "supercritical")
+            want = -np.expm1(-_logistic(k, risk.t_f)[2])
+            p_err.append(abs(risk.p_infect - want))
+        assert state_err[1] < state_bound and p_err[1] < p_bound
+        for ratio in self._ratios(state_err):
+            assert 14.0 < ratio < 18.0
+        for ratio in self._ratios(p_err):
+            assert 3.5 < ratio < 4.5
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_column(self, case):
+        k, horizon, _, p_bound = self.CASES[case]
+        p_err = []
+        for dt in self.DTS:
+            t_f, integral, truncated, _ = batch_extinction_stats(
+                LOGISTIC, np.array([k]), EXP100, horizon=horizon, dt=dt)
+            assert truncated[0] == (case == "supercritical")
+            want = -np.expm1(-_logistic(k, t_f[0])[2])
+            p_err.append(abs(-np.expm1(-integral[0]) - want))
+        assert p_err[1] < p_bound
+        for ratio in self._ratios(p_err):
+            assert 3.5 < ratio < 4.5
+
+
 @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
 def test_bad_extinction_epsilon_refused(eps):
     with pytest.raises(ValueError, match="extinction_epsilon"):

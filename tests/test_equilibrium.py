@@ -436,8 +436,10 @@ class TestCriticalUpdateCost:
         assert eq.mixed_ne(risk, above) == eq.NoInteriorEquilibrium(0)
 
     def test_increases_with_contact_ratio(self):
-        values = []
-        for beta in (5e-4, 1e-3, 2e-3):
-            params = dataclasses.replace(FIG3, beta=beta)
-            values.append(eq.critical_update_cost(params, EXP100, 1000.0, 0.1))
+        rosters = [dataclasses.replace(FIG3, beta=beta)
+                   for beta in (5e-4, 1e-3, 2e-3)]
+        # one batch builds the three tables; each call below reads its own
+        risk_profiles(rosters, EXP100, 1000.0, 0.1)
+        values = [eq.critical_update_cost(params, EXP100, 1000.0, 0.1)
+                  for params in rosters]
         assert values[0] < values[1] < values[2]

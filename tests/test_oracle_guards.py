@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -88,6 +89,52 @@ def test_cli_oracle_shows_truncation_on_stderr(capped, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].split(",")[:5] == ["0", "100", "3", _fmt(estimate),
                                        _fmt(std_error)]
+
+
+# (change to SMALL, seed, horizon, message): a start every replication
+# refuses
+BAD_STARTS = [
+    ({"x0": 2.5}, 3, 50.0, "x0 must be a whole number, got 2.5"),
+    ({"s0": 2.5}, 3, 50.0, "s0 must be a whole number, got 2.5"),
+    ({}, -1, 50.0, "negative"),
+    ({}, 3, 0.0, "horizon must be positive and finite"),
+    ({}, 3, -5.0, "horizon must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("change, seed, horizon, match", BAD_STARTS,
+                         ids=["x0", "s0", "seed", "horizon0", "horizon-5"])
+@pytest.mark.parametrize("k", [SMALL.n_nodes - 1, SMALL.n_nodes])
+def test_estimate_refuses_bad_start_at_every_k(k, change, seed, horizon,
+                                               match):
+    """With every node protected no replication can infect one, yet the
+    start is refused as at k < n_nodes, with the same message."""
+    params = dataclasses.replace(SMALL, **change)
+    with pytest.raises(ValueError, match=match):
+        oracle.empirical_infection_probability(params, EXP100, k, 100, seed,
+                                               horizon=horizon)
+
+
+def test_estimate_with_every_node_protected_is_zero():
+    whole = dataclasses.replace(SMALL, x0=2.0)
+    for k in (SMALL.n_nodes, float(SMALL.n_nodes)):
+        assert oracle.empirical_infection_probability(
+            whole, EXP100, k, 100, 3, horizon=50.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [CAPPED.params.n_nodes - 1,
+                               CAPPED.params.n_nodes])
+def test_cli_oracle_refuses_fractional_start_at_every_k(k, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CAPPED_CONFIG, "x0": 2.5}))
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--reps", "100",
+                 "--seed", "3", "--k-protected", str(k),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: x0 must be a whole number, got 2.5" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_mean_path_refuses_horizon_not_whole_steps():
