@@ -14,6 +14,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
@@ -39,9 +40,9 @@ class ThresholdDistribution:
 
     Supported kinds: exponential(mean), uniform(lo, hi), weibull(shape, scale).
     Exposes the hazard f/(1-F): lambda times it is an inactive source's
-    activation rate, in the source ODE and the oracle alike.  Where F
-    saturates (F = 1) the hazard is returned as +inf, and both substitute
-    the last finite value.
+    activation rate, in the source ODE and the oracle alike
+    (``_ActivationRate``).  Where F saturates (F = 1) the hazard is
+    returned as +inf, and the rate substitutes the last finite value.
     """
 
     kind: str
@@ -51,6 +52,23 @@ class ThresholdDistribution:
         if self.kind not in THRESHOLD_PARAMS:
             raise ValueError(
                 f"unknown threshold distribution kind {self.kind!r}")
+        # stored as a tuple of floats, hashable as a cache key: [100.0] and
+        # (100,) are kept as (100.0,); a string, bool or None is refused
+        # (an int past float's range too, and a 0-d array, which iterates
+        # no entries)
+        params = self.params
+        refused = ValueError(f"{self.kind} threshold parameters must be a "
+                             f"sequence of numbers, got {params!r}")
+        if (not isinstance(params, (tuple, list, np.ndarray))
+                or isinstance(params, np.ndarray) and params.ndim == 0
+                or not all(isinstance(v, numbers.Real)
+                           and not isinstance(v, bool) for v in params)):
+            raise refused
+        try:
+            params = tuple(map(float, params))
+        except OverflowError:
+            raise refused from None
+        object.__setattr__(self, "params", params)
         names = THRESHOLD_PARAMS[self.kind]
         if len(self.params) != len(names):
             raise ValueError(f"{self.kind} takes {len(names)} parameter(s): "
@@ -67,15 +85,15 @@ class ThresholdDistribution:
 
     @classmethod
     def exponential(cls, mean: float) -> "ThresholdDistribution":
-        return cls("exponential", (float(mean),))
+        return cls("exponential", (mean,))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "ThresholdDistribution":
-        return cls("uniform", (float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def weibull(cls, shape: float, scale: float) -> "ThresholdDistribution":
-        return cls("weibull", (float(shape), float(scale)))
+        return cls("weibull", (shape, scale))
 
     def hazard(self, x):
         """Activation hazard f(x)/(1-F(x)), as a float array of x's shape;
@@ -184,7 +202,11 @@ def step_count(horizon: float, dt: float) -> int:
     not fit the horizon a whole number of times."""
     if not 0 < dt <= horizon < math.inf:
         raise ValueError("require 0 < dt <= horizon < inf")
-    n_steps = round(horizon / dt)
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon {horizon:g} over dt={dt:g} is not a "
+                         f"finite number of steps")
+    n_steps = round(ratio)
     if abs(n_steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon:g} is not a whole number of "
                          f"steps of dt={dt:g}")
@@ -205,11 +227,52 @@ def _non_finite(i: int, dt: float, k: float, n_nodes: float) -> RuntimeError:
                         f"n_nodes={n_nodes:g}")
 
 
-def _constant_hazard(dist: ThresholdDistribution) -> Optional[float]:
-    """The hazard wherever x_bar >= 0 if it is a finite constant there
-    (exponential thresholds: 1/mean), else None."""
-    h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
-    return h if math.isfinite(h) else None
+class _ActivationRate:
+    """lambda * h(x_bar), an inactive source's activation rate, in n
+    columns (lam a float or one per column), for both ODE loops and the
+    oracle.  ``const`` is lambda * (1/mean) for an exponential threshold
+    (None if 1/mean overflows), the rate wherever x_bar >= 0; elsewhere
+    ``_hazard`` gives ``dist.hazard``, a non-finite (saturated) entry
+    replaced by its column's last finite value (0.0 before any) and
+    marked in ``saturated``.  ``of`` takes n entries, ``at`` one float
+    (n = 1).  The sign and finiteness tests read the entry the C method
+    ``argmin`` or ``argmax`` points at, at a fraction of ``ndarray.min``'s
+    cost: the first NaN if any, so the sign test is False on a NaN as on
+    a negative entry, and True on -0.0.
+    """
+
+    def __init__(self, dist: ThresholdDistribution, lam, n: int = 1):
+        self.dist, self.lam = dist, lam
+        h = 1.0 / dist.params[0] if dist.kind == "exponential" else math.inf
+        self.const = lam * h if math.isfinite(h) else None
+        self.saturated = np.zeros(n, bool)
+        self.last, self.out, self.one = np.zeros(n), np.empty(n), np.empty(1)
+
+    def of(self, x_bar: np.ndarray):
+        """The rate at each of the n entries of x_bar."""
+        const = self.const
+        if const is not None and x_bar[x_bar.argmin()] >= 0.0:
+            return const
+        return np.multiply(self.lam, self._hazard(x_bar), self.out)
+
+    def at(self, x_bar: float) -> float:
+        """The rate at x_bar, as a float, for n = 1."""
+        const = self.const
+        if const is not None and x_bar >= 0.0:
+            return const
+        self.one[0] = x_bar
+        return self.lam * float(self._hazard(self.one)[0])
+
+    def _hazard(self, x_bar: np.ndarray) -> np.ndarray:
+        """dist.hazard(x_bar) under the saturation rule."""
+        h = self.dist.hazard(x_bar)
+        # h is never below 0: argmax points at a NaN or +inf if any
+        if not math.isfinite(h[h.argmax()]):
+            bad = ~np.isfinite(h)
+            self.saturated |= bad
+            h = np.where(bad, self.last, h)
+        self.last = h
+        return h
 
 
 class _Stepper:
@@ -218,35 +281,24 @@ class _Stepper:
 
     A state is a (3, n) array; stages go into buffers allocated once per
     column set, and each operation groups its operands as the per-column
-    formula does, so a column is bit-identical alone or stacked.  The
-    exponential hazard is the constant 1/mean where every column has
-    x_bar >= 0 (else ``dist.hazard`` is evaluated); a saturated (+inf)
-    hazard keeps the last finite value ``h_last`` and sets ``saturated``.
-
-    The test "every x_bar >= 0", four times a step, reads the entry
-    ``argmin`` points at: ``argmin`` is a C method, where ``ndarray.min``
-    passes through a Python wrapper at several times its cost.  It points
-    at the first NaN when there is one, so the test is False on a NaN as
-    on a negative entry, and True on -0.0, where ``dist.hazard`` gives
-    1/mean too.
+    formula does, so a column is bit-identical alone or stacked.  Each
+    stage takes its activation rate from ``rate.of``, whose ``saturated``
+    marks the columns whose hazard saturated.
     """
 
     def __init__(self, c: SimpleNamespace, dist: ThresholdDistribution,
                  dt: float):
-        self.c, self.dist, self.dt = c, dist, dt
-        h_exp = _constant_hazard(dist)
-        # lambda * (1/mean) per column, or None where the hazard varies
-        self.lam_h = None if h_exp is None else c.lambda_influence * h_exp
+        self.c, self.dt = c, dt
         # at least one column, for argmin: batch_extinction_stats returns
         # before it builds a stepper for none
         n = len(c.k)
-        self.h_last, self.saturated = np.zeros(n), np.zeros(n, bool)
+        self.rate = _ActivationRate(dist, c.lambda_influence, n)
         self.rates = np.array([[c.beta, c.gamma], [-c.delta, -c.delta_s]])
         self.caps = np.array([c.n_nodes - c.k, c.n_sources])
         # bounds of the clipped rows x and s
         self.hi = np.array([np.maximum(c.n_nodes - c.k, c.x0), c.n_sources])
         self.prod, self.room = np.empty((2, 2, n)), np.empty((2, n))
-        self.lamh, self.stage = np.empty(n), np.empty((3, n))
+        self.stage = np.empty((3, n))
         # derivatives (dx, ds, dx_bar = force, activation term) of k1,
         # which then gathers the step's slope, and of k2, k3, k4 in turn
         d1, d = self.derivs = np.empty((2, 4, n))
@@ -263,17 +315,6 @@ class _Stepper:
             for lead, step, twice, r in (
                 (None, None, False, d1), (d1[:3], half, True, d),
                 (d[:3], half, True, d), (d[:3], whole, False, d)))
-
-    def _lam_hazard(self, x_bar: np.ndarray) -> np.ndarray:
-        """lambda * dist.hazard(x_bar), a saturated entry replaced by its
-        column's last finite hazard."""
-        h = self.dist.hazard(x_bar)
-        bad = ~np.isfinite(h)
-        if bad.any():
-            self.saturated |= bad
-            h = np.where(bad, self.h_last, h)
-        self.h_last = h
-        return np.multiply(self.c.lambda_influence, h, self.lamh)
 
     def advance(self, states: np.ndarray, i0: int) -> None:
         """Step states[0] into states[1:] (steps i0+1, i0+2, ...), each
@@ -296,7 +337,7 @@ class _Stepper:
         pool, free_s = room
         y_xs, y_xb = y[:2], y[2]
         acc, d = self.derivs[:, :3]
-        lam_h, lam_hazard = self.lam_h, self._lam_hazard
+        rate = self.rate.of
         zero, two, sixth = self.zero, self.two, self.sixth
         y0 = states[0]
         xs0, xb0 = y0[:2], y0[2]
@@ -312,8 +353,7 @@ class _Stepper:
                 maximum(pool, zero, out=pool)
                 add(bx, gs, force)
                 mul(force, pool, force)
-                mul(lam_h if lam_h is not None and xb[xb.argmin()] >= 0.0
-                    else lam_hazard(xb), free_s, act)
+                mul(rate(xb), free_s, act)
                 add(decay, tail, head)
                 if lead is not None:
                     add(acc, mul(d, two, y) if twice else d, acc)
@@ -345,9 +385,9 @@ def integrate(params: SystemParams, k_protected: float,
     One recorded column steps in Python floats: a ``_Stepper`` step costs
     44 ufunc calls and four ``argmin``s whatever its column count, about
     12 times the float loop's step on one column.  Every operation groups
-    its operands as ``_Stepper`` does, the hazard falls back and saturates
-    as there, and the clip keeps the sign of a zero as ``np.clip`` does
-    with scalar bounds."""
+    its operands as ``_Stepper`` does, the activation rate is
+    ``_ActivationRate.at``, the float form of ``_Stepper``'s, and the clip
+    keeps the sign of a zero as ``np.clip`` does with scalar bounds."""
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
     k = float(k_protected)
@@ -355,29 +395,17 @@ def integrate(params: SystemParams, k_protected: float,
         raise ValueError("k_protected must lie in [0, n_nodes]")
     beta, gamma = float(params.beta), float(params.gamma)
     neg_delta, neg_delta_s = -float(params.delta), -float(params.delta_s)
-    lam, n_s = float(params.lambda_influence), float(params.n_sources)
+    n_s = float(params.n_sources)
     cap = float(params.n_nodes) - k
     x_hi = max(cap, float(params.x0))
-    h_exp = _constant_hazard(dist)
-    lam_h = None if h_exp is None else lam * h_exp
-    one = np.empty(1)  # the hazard's argument, as in a one-column stack
-    h_last, saturated = 0.0, False
-
-    def lam_hazard(xb: float) -> float:
-        nonlocal h_last, saturated
-        one[0] = xb
-        h = float(dist.hazard(one)[0])
-        if not math.isfinite(h):
-            saturated, h = True, h_last
-        h_last = h
-        return lam * h
+    rate = _ActivationRate(dist, float(params.lambda_influence))
+    at = rate.at
 
     def rhs(x: float, s: float, xb: float) -> tuple:
         # as np.maximum: NaN stays NaN, and cap - x is never -0.0 (cap >= +0)
         force = (beta * x + gamma * s) * max(cap - x, 0.0)
-        act = (lam_h if lam_h is not None and xb >= 0.0
-               else lam_hazard(xb)) * (n_s - s)
-        return neg_delta * x + force, neg_delta_s * s + act, force
+        return (neg_delta * x + force, neg_delta_s * s + at(xb) * (n_s - s),
+                force)
 
     half, sixth = 0.5 * dt, dt / 6.0
     hist = np.empty((3, n_steps + 1))
@@ -408,7 +436,7 @@ def integrate(params: SystemParams, k_protected: float,
     below = np.nonzero(hx[i_peak:] <= extinction_epsilon)[0]
     extinction = float(t[i_peak + below[0]]) if below.size else None
     return Trajectory(t=t, x=hx, s=hs, x_bar=hxb, extinction_time=extinction,
-                      hazard_saturated=saturated)
+                      hazard_saturated=bool(rate.saturated[0]))
 
 
 # the SystemParams fields the right-hand side and initial state read;
@@ -524,4 +552,4 @@ def batch_extinction_stats(params, k_values: np.ndarray,
 
     late = np.isnan(cand_t)
     return (np.where(late, horizon, cand_t), np.where(late, book[1, 0], cand_h),
-            late, stepper.saturated)
+            late, stepper.rate.saturated)

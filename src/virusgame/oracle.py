@@ -6,9 +6,10 @@ chain over individual nodes and sources.
 
 Sources follow the ODE's activation law: each inactive source activates at
 rate lambda * h(cum), where h = f/(1 - F) is the threshold distribution's
-hazard and cum the cumulative infection count, the chain's x_bar.  cum
-changes only at infection events, so the rate is constant between events
-and the direct method stays exact.
+hazard and cum the cumulative infection count, the chain's x_bar.  The
+rate is the ODE's own, ``dynamics._ActivationRate``.  cum changes only at
+infection events, so the rate is constant between events and the direct
+method stays exact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dynamics import (SystemParams, ThresholdDistribution, _constant_hazard,
+from .dynamics import (SystemParams, ThresholdDistribution, _ActivationRate,
                        step_count, whole_count)
 
 EVENT_INFECT = "infect"
@@ -117,14 +118,12 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     Reactions: susceptible nodes are infected at rate beta*X + gamma*S each,
     infected nodes cure at rate delta, active sources deactivate at rate
     delta_s, and inactive sources activate at rate lambda*h(cum) each, the
-    ODE's law.  h is evaluated once per infection event on a one-element
-    array, as ``integrate`` evaluates it (a constant for exponential
-    thresholds); a saturated (+inf) hazard keeps the last finite value,
-    starting from 0.0, as ``integrate`` does.  k_protected, x0 and s0 must
-    be whole (10.0 is taken as 10), and x0 is clipped to the N - k
-    unprotected nodes, which the ODE does not do.  A replication stops,
-    flagged truncated, once it has drawn EVENT_CAP events short of the
-    horizon.  Deterministic given the seed.
+    ODE's law: ``_ActivationRate.at``, as in ``integrate``, read again at
+    each infection event unless it is the exponential constant.
+    k_protected, x0 and s0 must be whole (10.0 is taken as 10), and x0 is
+    clipped to the N - k unprotected nodes, which the ODE does not do.  A
+    replication stops, flagged truncated, once it has drawn EVENT_CAP
+    events short of the horizon.  Deterministic given the seed.
 
     The node and source sets are kept between events as sorted lists, so
     an event costs O(log) lookups plus a list shift instead of rescans of
@@ -154,23 +153,15 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
     # the four set sizes, kept as ints: the loop reads each every event
     x, n_sus, s, n_inact = x0, len(susceptible), s0, len(inactive)
 
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    delta_s, lam = params.delta_s, params.lambda_influence
-    h_exp = _constant_hazard(dist)
-    one = np.empty(1)  # the hazard's argument, as in integrate
-    h = 0.0  # the last finite hazard
-
-    def lam_hazard(cum: int) -> float:
-        nonlocal h
-        one[0] = cum
-        h_cum = float(dist.hazard(one)[0])
-        h = h_cum if math.isfinite(h_cum) else h
-        return lam * h
+    beta, gamma = params.beta, params.gamma
+    delta, delta_s = params.delta, params.delta_s
+    rate = _ActivationRate(dist, float(params.lambda_influence))
+    const, at = rate.const, rate.at  # locals, read every infection event
 
     event_cap = EVENT_CAP  # a local: the event loop reads it every event
     ever_infected = np.zeros(n, dtype=bool)
     cum = x0
-    lam_h = lam_hazard(cum) if h_exp is None else lam * h_exp
+    lam_h = at(cum)
     t = 0.0
     events: List[Tuple[float, str, int]] = []
     times = [0.0]
@@ -203,8 +194,8 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
             x += 1
             ever_infected[target] = True
             cum += 1
-            if h_exp is None:
-                lam_h = lam_hazard(cum)
+            if const is None:
+                lam_h = at(cum)
             events.append((t, EVENT_INFECT, target))
         elif u < r_inf + r_cure:
             target = infected.pop(draw(x))
@@ -246,14 +237,14 @@ def _run_chunk(work, reps: range):
     return np.array(rows, dtype=np.float64).reshape(len(reps), -1), truncated
 
 
-def _child(work, reps: range, fd: int) -> None:
-    """Run one chunk in a forked child and write one pickle to fd: the
-    chunk's (rows, truncated), or the exception it raised.  Exits 0 once
-    the write is complete; never returns."""
+def _child(work, lo: int, hi: int, fd: int) -> None:
+    """Run the chunk of reps lo..hi-1 in a forked child and write one
+    pickle to fd: the chunk's (rows, truncated), or the exception it
+    raised.  Exits 0 once the write is complete; never returns."""
     code = 1
     try:
         try:
-            blob = pickle.dumps(_run_chunk(work, reps))
+            blob = pickle.dumps(_run_chunk(work, range(lo, hi)))
         # anything, interrupts included, goes back to the caller, which
         # raises it; this process ends below either way
         except BaseException as exc:
@@ -312,7 +303,7 @@ def _replicate(work, n_reps: int) -> np.ndarray:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(work, range(lo, hi), w)
+                _child(work, lo, hi, w)
             os.close(w)
             children.append((pid, r))
         if bounds[1] > 1:
@@ -357,8 +348,9 @@ def empirical_infection_probability(params: SystemParams,
     A replication that hits the event cap counts with its partial outcome,
     and a RuntimeWarning names how many did.  With every node protected
     the result is (0.0, 0.0), once the start passes the checks every
-    replication makes.
+    replication makes.  n_reps must be whole (150.0 is taken as 150).
     """
+    n_reps = whole_count("n_reps", n_reps)
     if n_reps < 100:
         raise ValueError("need at least 100 replications")
     n_exposed = params.n_nodes - k_protected
@@ -380,7 +372,9 @@ def empirical_infection_probability(params: SystemParams,
 def mean_infected_path(params: SystemParams, dist: ThresholdDistribution,
                        k_protected: int, n_reps: int, seed,
                        horizon: float, dt: float):
-    """Replication-mean infected count on a uniform grid (the ODE check)."""
+    """Replication-mean infected count on a uniform grid (the ODE check);
+    n_reps must be whole (150.0 is taken as 150)."""
+    n_reps = whole_count("n_reps", n_reps)
     if n_reps < 1:
         raise ValueError("need at least 1 replication")
     t_grid = np.arange(step_count(horizon, dt) + 1) * dt

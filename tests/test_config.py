@@ -117,6 +117,21 @@ def test_cli_horizon_not_whole_steps_exits_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_step_count_refused():
+    with pytest.raises(ConfigError, match="not a finite number of steps"):
+        parse_config({**SMALL_CONFIG, "horizon": 1e300, "dt": 1e-10})
+
+
+def test_cli_overflowing_step_count_exits_config(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "horizon": 1e300,
+                                "dt": 1e-10}))
+    assert main(["dump-config", "--config", str(path)]) == EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "horizon 1e+300 over dt=1e-10 is not a finite number of steps" in err
+
+
 def test_builtin_grids_accepted():
     for spec in builtin_suite():
         doc = {**SMALL_CONFIG, "dt": spec.config.dt,

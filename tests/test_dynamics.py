@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
-                                ThresholdDistribution, batch_extinction_stats,
-                                integrate, step_count)
+                                ThresholdDistribution, _ActivationRate,
+                                batch_extinction_stats, integrate, step_count)
 from virusgame.risk import infection_probability, risk_profile
 
 FIG3 = SystemParams(n_nodes=100, n_sources=50, beta=1e-3, gamma=1e-3,
@@ -73,10 +73,38 @@ class TestThresholdDistribution:
         ("weibull", (0.0, 1.0), "shape and scale must be positive"),
         ("gamma", (1.0,), "unknown threshold distribution kind 'gamma'"),
         ("exponential", (1.0, 2.0), "exponential takes 1 parameter"),
+        ("exponential", "5", "sequence of numbers"),
+        ("uniform", "05", "sequence of numbers"),
+        ("exponential", 100.0, "sequence of numbers"),
+        ("exponential", None, "sequence of numbers"),
+        ("exponential", (True,), "sequence of numbers"),
+        ("weibull", (2.0, False), "sequence of numbers"),
+        ("exponential", (None,), "sequence of numbers"),
+        ("exponential", ("100",), "sequence of numbers"),
+        ("exponential", np.array(100.0), "sequence of numbers"),
+        ("exponential", (10**400,), "sequence of numbers"),
+        ("weibull", [2.0, [5.0]], "sequence of numbers"),
     ])
     def test_direct_construction_refused(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             ThresholdDistribution(kind, params)
+
+    @pytest.mark.parametrize("params", [[100.0], (100,), np.array([100.0])])
+    def test_params_stored_as_a_tuple_of_floats(self, params):
+        dist = ThresholdDistribution("exponential", params)
+        assert type(dist.params) is tuple and dist.params == (100.0,)
+        assert all(type(v) is float for v in dist.params)
+        assert dist == EXP100 and hash(dist) == hash(EXP100)
+        np.testing.assert_array_equal(risk_profile(FIG3, dist, horizon=10.0),
+                                      risk_profile(FIG3, EXP100, horizon=10.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ThresholdDistribution.exponential("100"),
+        lambda: ThresholdDistribution.uniform(0.0, None),
+        lambda: ThresholdDistribution.weibull(True, 5.0)])
+    def test_constructors_refuse_non_numbers(self, make):
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            make()
 
 
 class TestSystemParams:
@@ -264,6 +292,12 @@ GRIDS = [(dt, h) for dt in (0.05, 0.1, 0.5)
 @pytest.mark.parametrize("dt,horizon", GRIDS)
 def test_step_count_accepts_grid(dt, horizon):
     assert step_count(horizon, dt) == round(horizon / dt)
+
+
+@pytest.mark.parametrize("dt,horizon", [(1e-10, 1e300), (1e-300, 1e10)])
+def test_step_count_refuses_an_overflowing_count(dt, horizon):
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        step_count(horizon, dt)
 
 
 class TestBatchExtinctionStats:
@@ -470,3 +504,106 @@ def test_bad_extinction_epsilon_refused(eps):
     with pytest.raises(ValueError, match="extinction_epsilon"):
         batch_extinction_stats(FIG3, np.arange(3), EXP100, horizon=10.0,
                                extinction_epsilon=eps)
+
+
+# the activation rate lambda * h(x_bar) of both ODE loops and the oracle
+RATE_DISTS = [EXP100, ThresholdDistribution.uniform(2.0, 7.0),
+              WEIBULL_LOW, ThresholdDistribution.weibull(2.0, 5.0)]
+RATE_LAM = 3e-3
+# -0.0, 0.0, a negative value, NaN, lo and hi of the uniform, a point past
+# hi and random points, unsorted so saturation and recovery interleave
+RATE_GRID = np.concatenate([
+    [-0.0, 0.0, -1.5, np.nan, 2.0, 7.0, 9.5, 1e-300],
+    np.random.default_rng(26).uniform(-2.0, 12.0, 60)])
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestActivationRate:
+    @pytest.mark.parametrize("dist", RATE_DISTS)
+    def test_both_forms_are_lambda_times_the_hazard(self, dist):
+        # one rate of each form over the whole grid: its saturated points
+        # must not leak into a finite one.  of takes one lambda per column,
+        # as _Stepper passes it
+        at = _ActivationRate(dist, RATE_LAM).at
+        of = _ActivationRate(dist, np.array([RATE_LAM])).of
+        checked = 0
+        for x in RATE_GRID:
+            want = RATE_LAM * dist.hazard(np.array([x]))[0]
+            got_at, got_of = at(x), of(np.array([x]))[0]
+            if np.isfinite(want):
+                assert _bits(got_at) == _bits(got_of) == _bits(want), x
+                assert type(got_at) is float
+                checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("dist", RATE_DISTS)
+    def test_saturated_hazard_keeps_the_last_finite_value(self, dist):
+        rate = _ActivationRate(dist, RATE_LAM)
+        last = 0.0  # before any finite hazard
+        for x in RATE_GRID:
+            h = dist.hazard(np.array([x]))[0]
+            was = bool(rate.saturated[0])
+            got = rate.at(x)
+            if np.isfinite(h):
+                last = h
+                assert bool(rate.saturated[0]) == was
+            else:
+                assert rate.saturated[0]
+            assert _bits(got) == _bits(RATE_LAM * last), x
+
+    def test_saturated_columns_are_marked_one_by_one(self):
+        dist = ThresholdDistribution.uniform(2.0, 7.0)
+        rate = _ActivationRate(dist, np.full(3, RATE_LAM), 3)
+        got = rate.of(np.array([3.0, 7.0, 1.0]))
+        np.testing.assert_array_equal(got, [RATE_LAM / 4.0, 0.0, 0.0])
+        np.testing.assert_array_equal(rate.saturated, [False, True, False])
+        # column 0 saturates with 1/4 kept; column 1 recovers
+        got = rate.of(np.array([8.0, 6.0, 1.0]))
+        np.testing.assert_array_equal(got, [RATE_LAM / 4.0, RATE_LAM, 0.0])
+        np.testing.assert_array_equal(rate.saturated, [True, True, False])
+        # a NaN hazard beside finite ones counts as saturated too
+        got = rate.of(np.array([3.0, 6.5, np.nan]))
+        np.testing.assert_array_equal(got, [RATE_LAM / 4.0, 2 * RATE_LAM, 0.0])
+        np.testing.assert_array_equal(rate.saturated, [True, True, True])
+
+    @pytest.mark.parametrize("dist", RATE_DISTS)
+    def test_constant_only_for_exponential_at_nonnegative_x_bar(
+            self, dist, monkeypatch):
+        rate = _ActivationRate(dist, RATE_LAM)
+        if dist.kind == "exponential":
+            assert rate.const == RATE_LAM * (1.0 / dist.params[0])
+        else:
+            assert rate.const is None
+        calls = []
+        hazard = ThresholdDistribution.hazard
+
+        def spy(self, x):
+            calls.append(1)
+            return hazard(self, x)
+
+        monkeypatch.setattr(ThresholdDistribution, "hazard", spy)
+        rates = _ActivationRate(dist, np.full(2, RATE_LAM), 2)
+        for x in RATE_GRID:
+            constant = rate.const is not None and x >= 0.0
+            for form, arg, const in ((rate.at, x, rate.const),
+                                     (rates.of, np.array([abs(x), x]),
+                                      rates.const)):
+                calls.clear()
+                got = form(arg)
+                assert (not calls) == constant, x
+                if constant:
+                    assert got is const
+
+    def test_overflowing_constant_saturates(self):
+        # 1/mean overflows: no constant, and the +inf hazard never
+        # activates a source, so s decays from s0 = 10 at delta_s = 0.1
+        assert _ActivationRate(
+            ThresholdDistribution.exponential(1e-310), 1.0).const is None
+        traj = integrate(DEFAULT_PARAMS, 0,
+                         ThresholdDistribution.exponential(1e-310),
+                         horizon=10.0)
+        assert traj.hazard_saturated
+        assert traj.s[-1] == 3.6787944120235534

@@ -3,6 +3,7 @@ one process, errors carried back, and no process left behind."""
 
 import dataclasses
 import os
+import pickle
 import threading
 import time
 
@@ -97,6 +98,55 @@ def test_one_rep(cores):
     cores(2)
     np.testing.assert_array_equal(
         oracle._replicate(lambda rep: ([rep, 7], False), 1), [[0.0, 7.0]])
+
+
+def test_whole_float_reps_run_as_ints(cores):
+    cores(2)
+    assert (oracle.empirical_infection_probability(N50, EXP100, 10, 150.0, 5,
+                                                   horizon=400.0)
+            == oracle.empirical_infection_probability(N50, EXP100, 10, 150, 5,
+                                                      horizon=400.0))
+    paths = [oracle.mean_infected_path(N50, EXP100, 0, n, 9, horizon=200.0,
+                                       dt=1.0)[1] for n in (3.0, 3)]
+    assert paths[0].tobytes() == paths[1].tobytes()
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("estimate", [True, False])
+def test_fractional_reps_refused_before_any_fork(cores, monkeypatch,
+                                                 estimate):
+    cores(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with pytest.raises(ValueError,
+                       match="n_reps must be a whole number, got 100.5"):
+        if estimate:
+            oracle.empirical_infection_probability(N50, EXP100, 10, 100.5, 5,
+                                                   horizon=400.0)
+        else:
+            oracle.mean_infected_path(N50, EXP100, 0, 100.5, 9,
+                                      horizon=200.0, dt=1.0)
+
+
+def test_child_sends_back_an_error_in_its_chunk_bounds():
+    """A chunk whose bounds make no range raises inside the child's
+    handler: the error comes back through the pipe and the child exits 0,
+    and never returns into the caller's code."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            oracle._child(lambda rep: (rep, False), 75.0, 150.0, w)
+        finally:
+            os._exit(99)
+    os.close(w)
+    with open(r, "rb") as fh:
+        blob = fh.read()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    reply = pickle.loads(blob)
+    assert isinstance(reply, TypeError)
 
 
 def pids_of_reps(n_reps):
