@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
                        DEFAULT_HORIZON, DEFAULT_PARAMS, PARAM_FIELDS,
                        THRESHOLD_PARAMS, SystemParams, ThresholdDistribution,
-                       check_epsilon, step_count)
+                       check_epsilon, real, step_count)
 
 
 class ConfigError(ValueError):
@@ -25,8 +25,8 @@ _SETTINGS = ("dt", "horizon", "extinction_epsilon")
 @dataclass(frozen=True)
 class RunConfig:
     """A roster, its threshold distribution and the integrator settings.
-    RunConfig() is the Section IV studies' run; a step that does not fit
-    the horizon or a bad extinction epsilon is refused when built."""
+    RunConfig() is the Section IV studies' run; a setting real() refuses, a
+    dt that does not fit the horizon or a bad epsilon is refused when built."""
 
     params: SystemParams = DEFAULT_PARAMS
     dist: ThresholdDistribution = DEFAULT_DIST
@@ -35,6 +35,8 @@ class RunConfig:
     extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
 
     def __post_init__(self):
+        for key in _SETTINGS:
+            object.__setattr__(self, key, real(key, getattr(self, key)))
         step_count(self.horizon, self.dt)
         check_epsilon(self.extinction_epsilon)
 
@@ -54,64 +56,48 @@ class RunConfig:
 
 def _parse_dist(block) -> ThresholdDistribution:
     if not isinstance(block, dict):
-        raise ConfigError("threshold_dist must be an object")
+        raise ValueError("threshold_dist must be an object")
     kind = block.get("kind")
     if not isinstance(kind, str) or kind not in THRESHOLD_PARAMS:
-        raise ConfigError(f"unknown threshold_dist kind {kind!r}")
+        raise ValueError(f"unknown threshold_dist kind {kind!r}")
     raw = block.get("params", {})
     if not isinstance(raw, dict):
-        raise ConfigError("threshold_dist.params must be an object")
+        raise ValueError("threshold_dist.params must be an object")
     expected = THRESHOLD_PARAMS[kind]
     unknown = set(raw) - set(expected)
     if unknown:
-        raise ConfigError(f"unknown threshold_dist params: {sorted(unknown)}")
+        raise ValueError(f"unknown threshold_dist params: {sorted(unknown)}")
     missing = set(expected) - set(raw)
     if missing:
-        raise ConfigError(f"missing threshold_dist params: {sorted(missing)}")
-    return _refusing(getattr(ThresholdDistribution, kind),
-                     *(_number(f"threshold_dist.params.{name}", raw[name])
-                       for name in expected))
-
-
-def _refusing(make, *args, **kwargs):
-    """make(*args, **kwargs), with its ValueError raised as a ConfigError."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _number(key, value) -> float:
-    """A JSON number as a float; strings, booleans and null are refused,
-    not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key} is out of range: {exc}") from exc
+        raise ValueError(f"missing threshold_dist params: {sorted(missing)}")
+    return getattr(ThresholdDistribution, kind)(
+        *(real(f"threshold_dist.params.{name}", raw[name])
+          for name in expected))
 
 
 def parse_config(doc: dict) -> RunConfig:
     """The RunConfig of a JSON object; a missing key takes RunConfig's
-    default."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - set(PARAM_FIELDS) - {"threshold_dist", *_SETTINGS}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    params = _refusing(SystemParams, **{
-        key: _number(key, doc.get(key, getattr(RunConfig.params, key)))
-        for key in PARAM_FIELDS})
-    dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
-            else RunConfig.dist)
-    settings = {key: _number(key, doc.get(key, getattr(RunConfig, key)))
-                for key in _SETTINGS}
-    for key, value in settings.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-    return _refusing(RunConfig, params, dist, **settings)
+    default.  The types it builds check the values, and what they refuse
+    (ValueError) is raised as a ConfigError."""
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(doc) - {*PARAM_FIELDS, "threshold_dist", *_SETTINGS}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        params = SystemParams(**{
+            key: doc.get(key, getattr(RunConfig.params, key))
+            for key in PARAM_FIELDS})
+        dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
+                else RunConfig.dist)
+        settings = {key: real(key, doc.get(key, getattr(RunConfig, key)))
+                    for key in _SETTINGS}
+        for key, value in settings.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        return RunConfig(params, dist, **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -34,6 +34,18 @@ THRESHOLD_PARAMS = {
 }
 
 
+def real(name: str, value) -> float:
+    """value as a float; a bool, a string, None or another value that is
+    not a real number is refused, not converted, as is an int past float's
+    range, each with ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of range: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ThresholdDistribution:
     """Distribution of source activation thresholds.
@@ -53,20 +65,17 @@ class ThresholdDistribution:
             raise ValueError(
                 f"unknown threshold distribution kind {self.kind!r}")
         # stored as a tuple of floats, hashable as a cache key: [100.0] and
-        # (100,) are kept as (100.0,); a string, bool or None is refused
-        # (an int past float's range too, and a 0-d array, which iterates
-        # no entries)
+        # (100,) are kept as (100.0,); what real() refuses is refused, and
+        # so is a 0-d array, which iterates no entries
         params = self.params
         refused = ValueError(f"{self.kind} threshold parameters must be a "
                              f"sequence of numbers, got {params!r}")
         if (not isinstance(params, (tuple, list, np.ndarray))
-                or isinstance(params, np.ndarray) and params.ndim == 0
-                or not all(isinstance(v, numbers.Real)
-                           and not isinstance(v, bool) for v in params)):
+                or isinstance(params, np.ndarray) and params.ndim == 0):
             raise refused
         try:
-            params = tuple(map(float, params))
-        except OverflowError:
+            params = tuple(real(self.kind, v) for v in params)
+        except ValueError:
             raise refused from None
         object.__setattr__(self, "params", params)
         names = THRESHOLD_PARAMS[self.kind]
@@ -117,15 +126,18 @@ class ThresholdDistribution:
 
 
 def whole_count(name: str, value) -> int:
-    """value as an int; a fractional value is refused."""
-    if not float(value).is_integer():
+    """value as an int: what real() refuses is refused, and so is a
+    fractional or non-finite value; 150.0 is taken as 150."""
+    if not real(name, value).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All model constants: populations, contact/curing rates, costs."""
+    """All model constants: populations, contact/curing rates, costs.
+    Each field is stored as a float (real()), the two counts then as ints,
+    and each must be finite and in range, from JSON or in Python."""
 
     n_nodes: int
     n_sources: int
@@ -141,8 +153,10 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            value = real(f.name, getattr(self, f.name))
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name, value)
         for name in ("n_nodes", "n_sources"):
             # a count sizes tables and ranges: 100.0 is stored as 100
             count = whole_count(name, getattr(self, name))
@@ -393,12 +407,12 @@ def integrate(params: SystemParams, k_protected: float,
     k = float(k_protected)
     if not 0.0 <= k <= params.n_nodes:
         raise ValueError("k_protected must lie in [0, n_nodes]")
-    beta, gamma = float(params.beta), float(params.gamma)
-    neg_delta, neg_delta_s = -float(params.delta), -float(params.delta_s)
+    beta, gamma = params.beta, params.gamma
+    neg_delta, neg_delta_s = -params.delta, -params.delta_s
     n_s = float(params.n_sources)
     cap = float(params.n_nodes) - k
-    x_hi = max(cap, float(params.x0))
-    rate = _ActivationRate(dist, float(params.lambda_influence))
+    x_hi = max(cap, params.x0)
+    rate = _ActivationRate(dist, params.lambda_influence)
     at = rate.at
 
     def rhs(x: float, s: float, xb: float) -> tuple:
@@ -410,8 +424,8 @@ def integrate(params: SystemParams, k_protected: float,
     half, sixth = 0.5 * dt, dt / 6.0
     hist = np.empty((3, n_steps + 1))
     hx, hs, hxb = hist
-    x = hx[0] = float(params.x0)
-    s = hs[0] = float(params.s0)
+    x = hx[0] = params.x0
+    s = hs[0] = params.s0
     xb = hxb[0] = x
     for i in range(1, n_steps + 1):
         a1, b1, c1 = rhs(x, s, xb)

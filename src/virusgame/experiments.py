@@ -19,7 +19,7 @@ import numpy as np
 from . import equilibrium as eq
 from .config import RunConfig
 from .dynamics import (PARAM_FIELDS, SystemParams, ThresholdDistribution,
-                       Trajectory, integrate)
+                       Trajectory, integrate, real)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
 
@@ -64,6 +64,8 @@ class ExperimentSpec:
                 raise ValueError(f"output {out!r} is listed twice")
         printed = {}
         for value in values:  # refuse a bad point now, not mid-run
+            # checked, not converted: _fmt prints an int value as an int
+            real(f"sweep value of {param}", value)
             _apply_sweep(self.config.params, param, value)
             # a sweep value keys its CSV row and names its trajectory file
             text = _fmt(value)

@@ -155,7 +155,7 @@ def simulate_ctmc(params: SystemParams, dist: ThresholdDistribution,
 
     beta, gamma = params.beta, params.gamma
     delta, delta_s = params.delta, params.delta_s
-    rate = _ActivationRate(dist, float(params.lambda_influence))
+    rate = _ActivationRate(dist, params.lambda_influence)
     const, at = rate.const, rate.at  # locals, read every infection event
 
     event_cap = EVENT_CAP  # a local: the event loop reads it every event

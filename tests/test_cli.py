@@ -262,6 +262,19 @@ class TestOracle:
                      "--seed", "1", "--out", str(tmp_path / "o")])
         assert code != 0
 
+    @pytest.mark.parametrize("args, message", [
+        (["--reps", "10"], "need at least 100 replications"),
+        (["--reps", "100", "--k-protected", "31"], "k_protected must lie"),
+        (["--reps", "100", "--k-protected", "-1"], "k_protected must lie")])
+    def test_refused_reps_or_k_exit_one(self, config_path, tmp_path, capsys,
+                                        args, message):
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", config_path, "--seed", "1",
+                     "--out", str(out)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed_exits_one(self, config_path, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["oracle", "--config", config_path, "--reps", "100",

@@ -154,6 +154,13 @@ def test_run_config_refused_when_built(settings):
         RunConfig(**settings)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dt", "0.1"), ("horizon", True), ("extinction_epsilon", "1e-3")])
+def test_run_config_refuses_a_setting_that_is_not_a_number(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        RunConfig(**{key: value})
+
+
 SPECS = builtin_suite() + fig8_ratio_variants()
 
 

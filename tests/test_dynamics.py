@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from virusgame.dynamics import (DEFAULT_DIST, DEFAULT_PARAMS, SystemParams,
                                 ThresholdDistribution, _ActivationRate,
@@ -141,6 +142,17 @@ class TestSystemParams:
         for field in dataclasses.fields(SystemParams):
             with pytest.raises(ValueError, match=field.name):
                 dataclasses.replace(FIG3, **{field.name: bad})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n_sources", True, "n_sources must be a number, got True"),
+        ("beta", "0.001", "beta must be a number, got '0.001'"),
+        ("beta", None, "beta must be a number, got None"),
+        ("beta", 10**400, "beta is out of range")],
+        ids=["n_sources-bool", "beta-str", "beta-None", "beta-10**400"])
+    def test_rejects_what_is_not_a_number(self, field, value, match):
+        # s0 = 1 fits one source, so only the refused value can fail
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(FIG3, s0=1.0, **{field: value})
 
 
 def first_step_slopes(params, k, dist=EXP100, dt=1e-6):
@@ -494,6 +506,68 @@ class TestExactLogistic:
             p_err.append(abs(-np.expm1(-integral[0]) - want))
         assert p_err[1] < p_bound
         for ratio in self._ratios(p_err):
+            assert 3.5 < ratio < 4.5
+
+
+# With beta = 0 and lambda = 0 only the sources drive x: no source
+# activates, so s(t) = s0*e^(-delta_s t), the hazard mass of gamma*s to t
+# is gamma*s0*(1 - e^(-delta_s t))/delta_s, and
+# dx/dt = gamma*s(t)*(N - k - x) - delta*x, which solve_ivp integrates.
+SOURCE_DRIVEN = dataclasses.replace(FIG3, beta=0.0, lambda_influence=0.0)
+
+
+def _source_decay(t):
+    """Exact s of SOURCE_DRIVEN at times t."""
+    p = SOURCE_DRIVEN
+    return p.s0 * np.exp(-p.delta_s * np.asarray(t))
+
+
+class TestExactSourceDriven:
+    """Accuracy against the exact source decay, at dt = 0.4, 0.2, 0.1 and
+    0.05, with the ratio bounds of TestExactLogistic: RK4's state errors
+    fall about 16-fold per halving of dt, the trapezoid's hazard mass
+    about 4-fold.  k = 20 and the horizon 50 leave x near 0.13, so the
+    column truncates and its hazard mass is the one at the horizon.
+    Measured at dt = 0.1: max |ds| 1.5e-10, max |dx| 5.1e-10, hazard
+    mass error 4.1e-7; the bounds below are about twice those."""
+
+    K, HORIZON = 20.0, 50.0
+    DTS = (0.4, 0.2, 0.1, 0.05)
+    MASS = (SOURCE_DRIVEN.gamma * (SOURCE_DRIVEN.s0 - _source_decay(HORIZON))
+            / SOURCE_DRIVEN.delta_s)
+    _ratios = staticmethod(TestExactLogistic._ratios)
+
+    def test_integrate(self):
+        p = SOURCE_DRIVEN
+        cap = p.n_nodes - self.K
+        x_ref = solve_ivp(
+            lambda t, x: p.gamma * _source_decay(t) * (cap - x) - p.delta * x,
+            (0.0, self.HORIZON), [p.x0], method="DOP853", rtol=1e-13,
+            atol=1e-15, dense_output=True).sol
+        s_err, x_err, mass_err = [], [], []
+        for dt in self.DTS:
+            traj = integrate(p, self.K, EXP100, horizon=self.HORIZON, dt=dt)
+            s_err.append(np.abs(traj.s - _source_decay(traj.t)).max())
+            x_err.append(np.abs(traj.x - x_ref(traj.t)[0]).max())
+            risk = infection_probability(traj, p)
+            assert risk.truncated
+            mass_err.append(abs(risk.hazard_integral - self.MASS))
+        assert s_err[2] < 3e-10 and x_err[2] < 1e-9 and mass_err[2] < 8.3e-7
+        for ratio in self._ratios(s_err) + self._ratios(x_err):
+            assert 14.0 < ratio < 18.0
+        for ratio in self._ratios(mass_err):
+            assert 3.5 < ratio < 4.5
+
+    def test_batch_column(self):
+        mass_err = []
+        for dt in self.DTS:
+            t_f, integral, truncated, _ = batch_extinction_stats(
+                SOURCE_DRIVEN, np.array([self.K]), EXP100,
+                horizon=self.HORIZON, dt=dt)
+            assert truncated[0] and t_f[0] == self.HORIZON
+            mass_err.append(abs(integral[0] - self.MASS))
+        assert mass_err[2] < 8.3e-7
+        for ratio in self._ratios(mass_err):
             assert 3.5 < ratio < 4.5
 
 

@@ -80,7 +80,9 @@ class TestSpecValidation:
         (("n_nodes", (1.0,)), "n_nodes must be >= 2"),
         (("p", (0.5, 1.5)), r"must lie in \[0,1\]"),
         (("k_protected", (10.0, 31.0)), r"n_nodes=30\]"),
-        (("x0", (31.0,)), "x0 cannot exceed n_nodes")])
+        (("x0", (31.0,)), "x0 cannot exceed n_nodes"),
+        (("p", ("0.1",)), "sweep value of p must be a number, got '0.1'"),
+        (("p", (True,)), "sweep value of p must be a number, got True")])
     def test_each_sweep_value_refused_when_built(self, sweep, match):
         with pytest.raises(ValueError, match=match):
             small_spec(sweep=sweep)

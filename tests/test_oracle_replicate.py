@@ -130,6 +130,21 @@ def test_fractional_reps_refused_before_any_fork(cores, monkeypatch,
                                       horizon=200.0, dt=1.0)
 
 
+@pytest.mark.parametrize("n_reps", ["150", True])
+@pytest.mark.parametrize("estimate", [True, False])
+def test_reps_that_are_not_numbers_refused_before_any_fork(
+        cores, monkeypatch, estimate, n_reps):
+    cores(2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with pytest.raises(ValueError, match="n_reps must be a number"):
+        if estimate:
+            oracle.empirical_infection_probability(N50, EXP100, 10, n_reps, 5,
+                                                   horizon=400.0)
+        else:
+            oracle.mean_infected_path(N50, EXP100, 0, n_reps, 9,
+                                      horizon=200.0, dt=1.0)
+
+
 def test_child_sends_back_an_error_in_its_chunk_bounds():
     """A chunk whose bounds make no range raises inside the child's
     handler: the error comes back through the pipe and the child exits 0,
