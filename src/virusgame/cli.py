@@ -152,9 +152,13 @@ def _load_spec(ref: str) -> ExperimentSpec:
             raise ConfigError("a spec must be a JSON object")
         config = parse_config(doc.get("config", {}))
         sweep = doc["sweep"]
+        values, outputs = sweep["values"], doc["outputs"]
+        for key, value in (("sweep.values", values), ("outputs", outputs)):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be an array, got {value!r}")
         return ExperimentSpec(name=doc["name"], config=config,
-                              sweep=(sweep["param"], tuple(sweep["values"])),
-                              outputs=tuple(doc["outputs"]))
+                              sweep=(sweep["param"], tuple(values)),
+                              outputs=tuple(outputs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment spec {ref}: {exc}") from exc
 

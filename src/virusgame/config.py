@@ -5,7 +5,6 @@ block."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .dynamics import (DEFAULT_DIST, DEFAULT_DT, DEFAULT_EXTINCTION_EPSILON,
@@ -25,8 +24,8 @@ _SETTINGS = ("dt", "horizon", "extinction_epsilon")
 @dataclass(frozen=True)
 class RunConfig:
     """A roster, its threshold distribution and the integrator settings.
-    RunConfig() is the Section IV studies' run; a setting real() refuses, a
-    dt that does not fit the horizon or a bad epsilon is refused when built."""
+    RunConfig() is the Section IV studies' run; step_count and check_epsilon
+    refuse a bad setting when built, and each is then stored as a float."""
 
     params: SystemParams = DEFAULT_PARAMS
     dist: ThresholdDistribution = DEFAULT_DIST
@@ -35,10 +34,10 @@ class RunConfig:
     extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON
 
     def __post_init__(self):
-        for key in _SETTINGS:
-            object.__setattr__(self, key, real(key, getattr(self, key)))
         step_count(self.horizon, self.dt)
         check_epsilon(self.extinction_epsilon)
+        for key in _SETTINGS:
+            object.__setattr__(self, key, float(getattr(self, key)))
 
     def to_dict(self) -> dict:
         doc = {key: getattr(self.params, key) for key in PARAM_FIELDS}
@@ -77,8 +76,8 @@ def _parse_dist(block) -> ThresholdDistribution:
 
 def parse_config(doc: dict) -> RunConfig:
     """The RunConfig of a JSON object; a missing key takes RunConfig's
-    default.  The types it builds check the values, and what they refuse
-    (ValueError) is raised as a ConfigError."""
+    default.  The types it builds check the values as given, and what they
+    refuse (ValueError) is raised as a ConfigError."""
     try:
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
@@ -90,12 +89,8 @@ def parse_config(doc: dict) -> RunConfig:
             for key in PARAM_FIELDS})
         dist = (_parse_dist(doc["threshold_dist"]) if "threshold_dist" in doc
                 else RunConfig.dist)
-        settings = {key: real(key, doc.get(key, getattr(RunConfig, key)))
-                    for key in _SETTINGS}
-        for key, value in settings.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-        return RunConfig(params, dist, **settings)
+        return RunConfig(params, dist, **{key: doc[key] for key in _SETTINGS
+                                          if key in doc})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

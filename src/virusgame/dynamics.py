@@ -212,8 +212,11 @@ _BLOCK_BYTES = 1 << 19  # budget of the per-block bookkeeping buffer
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Number of RK4 steps that span [0, horizon]; refuses a dt that does
-    not fit the horizon a whole number of times."""
+    """Number of RK4 steps that span [0, horizon]; the one check of horizon
+    and dt (real(), a finite dt, a whole number of steps of dt)."""
+    horizon, dt = real("horizon", horizon), real("dt", dt)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     if not 0 < dt <= horizon < math.inf:
         raise ValueError("require 0 < dt <= horizon < inf")
     ratio = horizon / dt
@@ -228,7 +231,8 @@ def step_count(horizon: float, dt: float) -> int:
 
 
 def check_epsilon(extinction_epsilon: float) -> None:
-    """Refuse an extinction epsilon that is not finite and positive."""
+    """Refuse an extinction epsilon real() refuses or not finite and > 0."""
+    extinction_epsilon = real("extinction_epsilon", extinction_epsilon)
     if not 0.0 < extinction_epsilon < math.inf:
         raise ValueError(f"extinction_epsilon must be finite and positive, "
                          f"got {extinction_epsilon!r}")
@@ -404,7 +408,7 @@ def integrate(params: SystemParams, k_protected: float,
     keeps the sign of a zero as ``np.clip`` does with scalar bounds."""
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
-    k = float(k_protected)
+    k = real("k_protected", k_protected)
     if not 0.0 <= k <= params.n_nodes:
         raise ValueError("k_protected must lie in [0, n_nodes]")
     beta, gamma = params.beta, params.gamma
@@ -512,7 +516,11 @@ def batch_extinction_stats(params, k_values: np.ndarray,
     """
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
-    k_values = np.asarray(k_values, dtype=float)
+    k_values = np.asarray(k_values)
+    if k_values.dtype.kind not in "iuf":
+        raise ValueError(f"k_values must be numbers, got {k_values.dtype} "
+                         f"entries")
+    k_values = k_values.astype(float, copy=False)
     if k_values.ndim != 1:
         raise ValueError(f"k_values must be one-dimensional, got shape "
                          f"{k_values.shape}")

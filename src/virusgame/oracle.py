@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .dynamics import (SystemParams, ThresholdDistribution, _ActivationRate,
-                       step_count, whole_count)
+                       real, step_count, whole_count)
 
 EVENT_INFECT = "infect"
 EVENT_CURE = "cure"
@@ -101,7 +101,7 @@ def _start(params: SystemParams, k_protected, seed, horizon: float):
     k_protected = whole_count("k_protected", k_protected)
     if not 0 <= k_protected <= params.n_nodes:
         raise ValueError("k_protected must lie in 0..n_nodes")
-    if not (math.isfinite(horizon) and horizon > 0):
+    if not 0 < real("horizon", horizon) < math.inf:
         raise ValueError("horizon must be positive and finite")
     x0 = min(whole_count("x0", params.x0), params.n_nodes - k_protected)
     s0 = whole_count("s0", params.s0)
@@ -353,7 +353,7 @@ def empirical_infection_probability(params: SystemParams,
     n_reps = whole_count("n_reps", n_reps)
     if n_reps < 100:
         raise ValueError("need at least 100 replications")
-    n_exposed = params.n_nodes - k_protected
+    n_exposed = params.n_nodes - whole_count("k_protected", k_protected)
     if n_exposed == 0:
         # nothing to simulate: check the start as replication 0 would
         _start(params, k_protected, [seed, 0], horizon)

@@ -16,7 +16,8 @@ import numpy as np
 from .dynamics import (_COLUMN_FIELDS, DEFAULT_DIST, DEFAULT_DT,
                        DEFAULT_EXTINCTION_EPSILON, DEFAULT_HORIZON,
                        SystemParams, ThresholdDistribution, Trajectory,
-                       batch_extinction_stats, trapezoid)
+                       batch_extinction_stats, check_epsilon, step_count,
+                       trapezoid)
 
 CACHE_SIZE = 64  # risk tables kept for reuse
 
@@ -114,6 +115,9 @@ def risk_profiles(params_list: Sequence[SystemParams],
     that N, and prepends them; every roster that grows goes into a single
     batch integration.  Each table is bit-identical to a build of its own.
     """
+    # checked before the cache is read: True would find a table of 1.0
+    step_count(horizon, dt)
+    check_epsilon(extinction_epsilon)
     keys = [(tuple(getattr(p, name) for name in _COLUMN_FIELDS[1:]), dist,
              horizon, dt, extinction_epsilon) for p in params_list]
     # each roster at the largest N asked for

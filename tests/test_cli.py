@@ -75,6 +75,13 @@ class TestSimulate:
             "error: --k-protected must lie in 0..n_nodes")
         assert not out.exists()
 
+    def test_k_protected_writes_trajectory(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config_path, "--k-protected",
+                     "3", "--out", str(out)]) == 0
+        data = read_trajectory(out)
+        assert data[:, 1].max() <= SMALL_CONFIG["n_nodes"] - 3
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", config_path, "--p", "0.2", "--out", str(a)])
@@ -112,6 +119,19 @@ class TestEquilibrium:
         assert captured.out == ""
         assert captured.err.startswith("error: --n-u and --n-nu must be")
 
+    @pytest.mark.parametrize("mode", [["--mode", "mixed"],
+                                      ["--mode", "mixer", "--n-u", "5",
+                                       "--n-nu", "5"]])
+    def test_interior_equilibrium_output(self, tmp_path, capsys, mode):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_nodes": 100, "horizon": 200.0}))
+        assert main(["equilibrium", "--config", str(path)] + mode) == 0
+        fields = dict(part.split("=")
+                      for part in capsys.readouterr().out.split())
+        assert "rejected" not in fields and "boundary" not in fields
+        assert 0.0 < float(fields["p_star"]) < 1.0
+        assert abs(float(fields["residual"])) <= 1e-9
+
     def test_bad_mode_exits_one(self, config_path):
         with pytest.raises(SystemExit) as exc:
             main(["equilibrium", "--config", config_path, "--mode", "bogus"])
@@ -119,6 +139,25 @@ class TestEquilibrium:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("key, sweep, outputs", [
+        ("sweep.values", {"param": "p", "values": "0.1"}, ["p_star"]),
+        ("sweep.values", {"param": "p", "values": {"0.1": 1}}, ["p_star"]),
+        ("outputs", {"param": "p", "values": [0.1]}, "t_f"),
+        ("outputs", {"param": "p", "values": [0.1]}, {"p_star": 1}),
+    ], ids=["values-str", "values-object", "outputs-str", "outputs-object"])
+    def test_lists_must_be_arrays(self, tmp_path, capsys, key, sweep,
+                                  outputs):
+        spec = {"name": "toy", "config": SMALL_CONFIG, "sweep": sweep,
+                "outputs": outputs}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid experiment spec {spec_path}: {key} must be an "
+            "array")
+        assert not out.exists()
+
     def test_builtin_name_unknown(self, tmp_path):
         code = main(["sweep", "--spec", "not_a_spec",
                      "--out", str(tmp_path / "o")])
@@ -283,6 +322,21 @@ class TestOracle:
         assert not out.exists()
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", [["simulate", "--out", "unused"],
+                                         ["equilibrium"]])
+    def test_non_finite_state_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps({"n_nodes": 30, "beta": 1e300,
+                                    "horizon": 10.0}))
+        argv = command[:1] + ["--config", str(path)] + command[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: non-finite state")
+
+
 class TestConfigHandling:
     def test_dump_config_round_trip(self, config_path, capsys):
         assert main(["dump-config", "--config", config_path]) == 0
@@ -297,6 +351,18 @@ class TestConfigHandling:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n_nodes": 30, "bogus_key": 1}))
         assert main(["dump-config", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "config must be a JSON object"),
+        ('{"n_nodes": 30,', "invalid JSON in ")])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, text,
+                                         message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["dump-config", "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["dump-config", "--config",

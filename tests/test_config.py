@@ -1,12 +1,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from virusgame.cli import EXIT_CONFIG, _load_spec, main
 from virusgame.config import ConfigError, RunConfig, parse_config
+from virusgame.dynamics import (DEFAULT_DIST, batch_extinction_stats,
+                                integrate)
 from virusgame.experiments import (builtin_suite, fig8_ratio_variants,
                                    get_builtin)
+from virusgame.oracle import mean_infected_path, simulate_ctmc
+from virusgame.risk import risk_profile
 
 SMALL_CONFIG = {
     "n_nodes": 30, "n_sources": 10, "beta": 1e-3, "gamma": 1e-3,
@@ -32,6 +37,11 @@ SMALL_CONFIG = {
     {"threshold_dist": {"kind": ["exponential"]}},
     {"threshold_dist": {"kind": {"exponential": True}}},
     {"threshold_dist": {"kind": 1}},
+    {"threshold_dist": 5},
+    {"threshold_dist": {"kind": "exponential",
+                        "params": {"mean": 100.0, "bogus": 1.0}}},
+    {"threshold_dist": {"kind": "uniform", "params": {"lo": 0.0}}},
+    {"n_sources": 0},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_invalid_settings_refused(override):
     with pytest.raises(ConfigError):
@@ -155,10 +165,50 @@ def test_run_config_refused_when_built(settings):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("dt", "0.1"), ("horizon", True), ("extinction_epsilon", "1e-3")])
+    ("dt", "0.1"), ("horizon", True), ("extinction_epsilon", "1e-3"),
+    ("horizon", "10"), ("dt", True)])
 def test_run_config_refuses_a_setting_that_is_not_a_number(key, value):
     with pytest.raises(ValueError, match=f"{key} must be a number"):
         RunConfig(**{key: value})
+
+
+SMALL_PARAMS = parse_config(SMALL_CONFIG).params
+
+# each engine entry on SMALL_PARAMS, called with the run settings it takes
+ENGINES = {
+    "integrate": lambda h, dt, eps: integrate(
+        SMALL_PARAMS, 0.0, DEFAULT_DIST, h, dt, eps),
+    "batch_extinction_stats": lambda h, dt, eps: batch_extinction_stats(
+        SMALL_PARAMS, np.arange(3), DEFAULT_DIST, h, dt, eps),
+    "risk_profile": lambda h, dt, eps: risk_profile(
+        SMALL_PARAMS, DEFAULT_DIST, h, dt, eps),
+    "mean_infected_path": lambda h, dt, eps: mean_infected_path(
+        SMALL_PARAMS, DEFAULT_DIST, 0, 1, 0, h, dt),
+    "simulate_ctmc": lambda h, dt, eps: simulate_ctmc(
+        SMALL_PARAMS, DEFAULT_DIST, 0, 0, h),
+}
+NOT_NUMBERS = {"horizon": "10", "dt": True, "extinction_epsilon": "1e-3"}
+
+
+@pytest.mark.parametrize("engine, key", [
+    *((engine, key) for engine in ("integrate", "batch_extinction_stats",
+                                   "risk_profile") for key in NOT_NUMBERS),
+    ("mean_infected_path", "horizon"), ("mean_infected_path", "dt"),
+    ("simulate_ctmc", "horizon")])
+def test_engines_refuse_what_a_config_refuses(engine, key):
+    run = {"horizon": 10.0, "dt": 0.1, "extinction_epsilon": 1e-3,
+           key: NOT_NUMBERS[key]}
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        ENGINES[engine](run["horizon"], run["dt"], run["extinction_epsilon"])
+
+
+@pytest.mark.parametrize("key", ["dt", "horizon"])
+def test_nan_setting_reads_the_same_from_json_and_python(key):
+    with pytest.raises(ConfigError) as from_json:
+        parse_config({**SMALL_CONFIG, key: math.nan})
+    with pytest.raises(ValueError) as from_python:
+        RunConfig(**{key: math.nan})
+    assert str(from_json.value) == str(from_python.value)
 
 
 SPECS = builtin_suite() + fig8_ratio_variants()

@@ -580,6 +580,22 @@ def test_bad_extinction_epsilon_refused(eps):
                                extinction_epsilon=eps)
 
 
+@pytest.mark.parametrize("run, match", [
+    (lambda: integrate(FIG3, "1", EXP100, horizon=10.0),
+     "k_protected must be a number, got '1'"),
+    (lambda: integrate(FIG3, True, EXP100, horizon=10.0),
+     "k_protected must be a number, got True"),
+    (lambda: batch_extinction_stats(FIG3, ["1", "2"], EXP100, horizon=10.0),
+     "k_values must be numbers"),
+    (lambda: batch_extinction_stats(FIG3, [True, False], EXP100,
+                                    horizon=10.0),
+     "k_values must be numbers, got bool entries")],
+    ids=["integrate-str", "integrate-bool", "batch-str", "batch-bool"])
+def test_protection_level_that_is_not_a_number_refused(run, match):
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
 # the activation rate lambda * h(x_bar) of both ODE loops and the oracle
 RATE_DISTS = [EXP100, ThresholdDistribution.uniform(2.0, 7.0),
               WEIBULL_LOW, ThresholdDistribution.weibull(2.0, 5.0)]

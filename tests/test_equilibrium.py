@@ -356,6 +356,15 @@ class TestMixerNonMixer:
                 if not feasible:
                     assert isinstance(result, eq.NoInteriorEquilibrium)
                     assert result.reason != ""
+        # n_u + n_nu = N - 1 and N leave fewer than two mixers; psi = 0
+        # above, so a cheaper update (same table) puts every n_u below psi
+        cheap = dataclasses.replace(params, update_cost=0.05)
+        assert eq.pure_ne(risk, cheap).psi >= 12
+        for n_u in range(0, 12):
+            for n_nu in (params.n_nodes - 1 - n_u, params.n_nodes - n_u):
+                result = eq.mixer_nonmixer_ne(n_u, n_nu, risk, cheap)
+                assert isinstance(result, eq.NoInteriorEquilibrium)
+                assert "fewer than two mixers" in result.reason
 
     def test_interior_profile_within_constraints(self):
         params = dataclasses.replace(FIG3, update_cost=0.08)

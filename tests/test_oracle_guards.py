@@ -99,11 +99,13 @@ BAD_STARTS = [
     ({}, -1, 50.0, "negative"),
     ({}, 3, 0.0, "horizon must be positive and finite"),
     ({}, 3, -5.0, "horizon must be positive and finite"),
+    ({}, 3, "50", "horizon must be a number, got '50'"),
 ]
 
 
 @pytest.mark.parametrize("change, seed, horizon, match", BAD_STARTS,
-                         ids=["x0", "s0", "seed", "horizon0", "horizon-5"])
+                         ids=["x0", "s0", "seed", "horizon0", "horizon-5",
+                              "horizon-str"])
 @pytest.mark.parametrize("k", [SMALL.n_nodes - 1, SMALL.n_nodes])
 def test_estimate_refuses_bad_start_at_every_k(k, change, seed, horizon,
                                                match):

@@ -289,11 +289,13 @@ BAD_STARTS = [
     ({"s0": 2.5}, 0, 3, "s0 must be a whole number, got 2.5"),
     ({}, 2.5, 3, "k_protected must be a whole number, got 2.5"),
     ({}, 0, -1, "negative"),
+    ({}, "10", 3, "k_protected must be a number, got '10'"),
 ]
 
 
 @pytest.mark.parametrize("change, k, seed, match", BAD_STARTS,
-                         ids=["x0", "s0", "k_protected", "seed"])
+                         ids=["x0", "s0", "k_protected", "seed",
+                              "k_protected-str"])
 @pytest.mark.parametrize("entry", ["estimate", "mean_path"])
 def test_bad_start_refused_before_any_fork(cores, forks, entry, change, k,
                                            seed, match):

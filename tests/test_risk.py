@@ -173,6 +173,16 @@ class TestRiskProfile:
         assert widths == []
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("cached, given", [
+        ({"dt": 1.0}, {"dt": True}),
+        ({"extinction_epsilon": 1.0}, {"extinction_epsilon": True})])
+    def test_settings_checked_before_the_cache(self, cached, given):
+        # True == 1.0 and hashes alike, so True would find the 1.0 table
+        risk_profile(FIG3, EXP100, 10.0, **cached)
+        (key,) = given
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            risk_profile(FIG3, EXP100, 10.0, **given)
+
     def test_tables_are_read_only(self):
         table = risk_profile(FIG3, EXP100, horizon=200.0)
         with pytest.raises(ValueError, match="read-only"):
