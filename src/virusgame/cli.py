@@ -7,7 +7,8 @@ Subcommands:
   oracle       compare the stochastic simulation against the ODE prediction
   dump-config  print the normalized JSON form of a config file
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration/usage error (any input a command
+refuses, or an output it cannot write), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import warnings
 from typing import Optional, Sequence
 
 from . import equilibrium as eq
-from .config import ConfigError, RunConfig, load_config, parse_config
-from .dynamics import integrate
+from .config import ConfigError, load_config, parse_config
+from .dynamics import integrate, protected_count
 from .experiments import (ExperimentSpec, _fmt, _write_csv,
                           _write_trajectory_csv, builtin_suite, get_builtin,
                           run)
@@ -49,7 +50,7 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="integrate and write trajectory CSV")
     sim.add_argument("--config", required=True)
     group = sim.add_mutually_exclusive_group()
-    group.add_argument("--k-protected", type=float, default=None)
+    group.add_argument("--k-protected", type=float, default=0.0)
     group.add_argument("--p", type=float, default=None)
     sim.add_argument("--out", required=True)
 
@@ -77,21 +78,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _protection_count(cfg: RunConfig, k: Optional[float], p: Optional[float]) -> float:
-    if k is not None:
-        if not 0.0 <= k <= cfg.params.n_nodes:
-            raise ConfigError("--k-protected must lie in 0..n_nodes")
-        return k
-    if p is not None:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("--p must lie in [0, 1]")
-        return p * cfg.params.n_nodes
-    return 0.0
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    k = _protection_count(cfg, args.k_protected, args.p)
+    k = protected_count(cfg.params, args.k_protected, args.p)
     traj = integrate(cfg.params, k, cfg.dist, horizon=cfg.horizon, dt=cfg.dt,
                      extinction_epsilon=cfg.extinction_epsilon)
     os.makedirs(args.out, exist_ok=True)
@@ -178,12 +167,8 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("--seed must be nonnegative")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            estimate, std_error = empirical_infection_probability(
-                cfg.params, cfg.dist, k, args.reps, args.seed,
-                horizon=cfg.horizon)
-        except ValueError as exc:  # too few reps, or a start it refuses
-            raise ConfigError(str(exc)) from exc
+        estimate, std_error = empirical_infection_probability(
+            cfg.params, cfg.dist, k, args.reps, args.seed, horizon=cfg.horizon)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     traj = integrate(cfg.params, k, cfg.dist, horizon=cfg.horizon, dt=cfg.dt,
@@ -222,7 +207,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    # a ValueError (ConfigError is one) is a bad config, spec or option, or
+    # input an engine refuses; an OSError is most often an unwritable --out
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:

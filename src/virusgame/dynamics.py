@@ -238,6 +238,23 @@ def check_epsilon(extinction_epsilon: float) -> None:
                          f"got {extinction_epsilon!r}")
 
 
+def protected_count(params: SystemParams, k_protected=0.0, p=None) -> float:
+    """The number of protected nodes: p * n_nodes when the updating
+    fraction p is given, else k_protected.  The one check of a protection
+    level: what real() refuses is refused, and so is a k_protected outside
+    [0, n_nodes] or a p outside [0, 1], NaN included, with ValueError."""
+    if p is not None:
+        p = real("p", p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0,1], got {p!r}")
+        return p * params.n_nodes
+    k = real("k_protected", k_protected)
+    if not 0.0 <= k <= params.n_nodes:
+        raise ValueError(f"k_protected must lie in [0, n_nodes="
+                         f"{params.n_nodes}], got {k!r}")
+    return k
+
+
 def _non_finite(i: int, dt: float, k: float, n_nodes: float) -> RuntimeError:
     """The error for a state first not finite at step i of column k."""
     return RuntimeError(f"non-finite state at step {i} (t={i * dt:g}) for "
@@ -394,11 +411,11 @@ def integrate(params: SystemParams, k_protected: float,
               dist: ThresholdDistribution = DEFAULT_DIST,
               horizon: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
               extinction_epsilon: float = DEFAULT_EXTINCTION_EPSILON) -> Trajectory:
-    """Fixed-step RK4 integration over [0, horizon] at a given protection
-    level, keeping every step.  States are clamped to their admissible
-    ranges and the cumulative count kept nondecreasing; a state that is
-    not finite raises RuntimeError, naming its first step, once the
-    horizon is reached.
+    """Fixed-step RK4 integration over [0, horizon] at the protection
+    level k_protected, which protected_count checks, keeping every step.
+    States are clamped to their admissible ranges and the cumulative count
+    kept nondecreasing; a state that is not finite raises RuntimeError,
+    naming its first step, once the horizon is reached.
 
     One recorded column steps in Python floats: a ``_Stepper`` step costs
     44 ufunc calls and four ``argmin``s whatever its column count, about
@@ -408,9 +425,7 @@ def integrate(params: SystemParams, k_protected: float,
     keeps the sign of a zero as ``np.clip`` does with scalar bounds."""
     n_steps = step_count(horizon, dt)
     check_epsilon(extinction_epsilon)
-    k = real("k_protected", k_protected)
-    if not 0.0 <= k <= params.n_nodes:
-        raise ValueError("k_protected must lie in [0, n_nodes]")
+    k = protected_count(params, k_protected)
     beta, gamma = params.beta, params.gamma
     neg_delta, neg_delta_s = -params.delta, -params.delta_s
     n_s = float(params.n_sources)

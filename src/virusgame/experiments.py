@@ -19,7 +19,7 @@ import numpy as np
 from . import equilibrium as eq
 from .config import RunConfig
 from .dynamics import (PARAM_FIELDS, SystemParams, ThresholdDistribution,
-                       Trajectory, integrate, real)
+                       Trajectory, integrate, protected_count, real)
 from .risk import (CACHE_SIZE, infection_probability, risk_profile,
                    risk_profiles)
 
@@ -83,16 +83,10 @@ def _fmt(value) -> str:
 
 def _apply_sweep(base: SystemParams, param: str, value):
     """Returns (params, k_protected or None); None means the point runs at
-    its equilibrium."""
-    if param == "p":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("activation probability sweep values must lie in [0,1]")
-        return base, value * base.n_nodes
-    if param == "k_protected":
-        if not 0 <= value <= base.n_nodes:
-            raise ValueError(f"k_protected sweep values must lie in "
-                             f"[0, n_nodes={base.n_nodes}]")
-        return base, float(value)
+    its equilibrium.  A p or k_protected point keeps base, and
+    protected_count gives and checks its protection level."""
+    if param in _SPECIAL_SWEEPS:
+        return base, protected_count(base, **{param: value})
     return dataclasses.replace(base, **{param: value}), None
 
 

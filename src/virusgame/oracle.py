@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .dynamics import (SystemParams, ThresholdDistribution, _ActivationRate,
-                       real, step_count, whole_count)
+                       protected_count, real, step_count, whole_count)
 
 EVENT_INFECT = "infect"
 EVENT_CURE = "cure"
@@ -96,11 +96,10 @@ class SimulationResult:
 def _start(params: SystemParams, k_protected, seed, horizon: float):
     """A replication's checked start: k_protected, x0 (clipped to the N - k
     unprotected nodes) and s0 as ints, and the generator seeded with seed.
-    Refuses a fractional count, a k_protected outside 0..n_nodes, a horizon
+    Refuses what protected_count refuses, a fractional count, a horizon
     that is not positive and finite, and a seed numpy refuses."""
-    k_protected = whole_count("k_protected", k_protected)
-    if not 0 <= k_protected <= params.n_nodes:
-        raise ValueError("k_protected must lie in 0..n_nodes")
+    k_protected = whole_count("k_protected",
+                              protected_count(params, k_protected))
     if not 0 < real("horizon", horizon) < math.inf:
         raise ValueError("horizon must be positive and finite")
     x0 = min(whole_count("x0", params.x0), params.n_nodes - k_protected)
@@ -353,10 +352,11 @@ def empirical_infection_probability(params: SystemParams,
     n_reps = whole_count("n_reps", n_reps)
     if n_reps < 100:
         raise ValueError("need at least 100 replications")
-    n_exposed = params.n_nodes - whole_count("k_protected", k_protected)
+    # the start every replication makes, checked once here; with every
+    # node protected there is nothing to simulate
+    n_exposed = params.n_nodes - _start(params, k_protected, [seed, 0],
+                                        horizon)[0]
     if n_exposed == 0:
-        # nothing to simulate: check the start as replication 0 would
-        _start(params, k_protected, [seed, 0], horizon)
         return 0.0, 0.0
 
     def fraction(rep):

@@ -127,9 +127,11 @@ def risk_profiles(params_list: Sequence[SystemParams],
     grow = [(key, p, p.n_nodes + 1 - len(found[key]))
             for key, p in widest.items() if p.n_nodes >= len(found[key])]
     if grow:
+        # the k values before the per-column list: numpy refuses at once an
+        # N too large for an array, where the list would fill memory first
+        k_values = np.concatenate([np.arange(n) for _, _, n in grow])
         _, integral, _, _ = batch_extinction_stats(
-            [p for _, p, n in grow for _ in range(n)],
-            np.concatenate([np.arange(n) for _, _, n in grow]), dist,
+            [p for _, p, n in grow for _ in range(n)], k_values, dist,
             horizon=horizon, dt=dt, extinction_epsilon=extinction_epsilon)
         start = 0
         for key, _, n in grow:

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import virusgame
 from virusgame.cli import main
 from virusgame.config import parse_config
 from virusgame.dynamics import integrate
+from virusgame.experiments import ExperimentSpec
+from virusgame.oracle import simulate_ctmc
 from virusgame.risk import risk_profile
 
 SMALL_CONFIG = {
@@ -72,7 +78,7 @@ class TestSimulate:
         assert main(["simulate", "--config", config_path, "--k-protected", k,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: --k-protected must lie in 0..n_nodes")
+            "error: k_protected must lie in [0, n_nodes=30], got")
         assert not out.exists()
 
     def test_k_protected_writes_trajectory(self, config_path, tmp_path):
@@ -375,3 +381,102 @@ class TestConfigHandling:
 
     def test_no_subcommand_exits_one(self):
         assert main([]) == 1
+
+
+def _write_spec(path, sweep, outputs):
+    path.write_text(json.dumps({"name": "toy", "config": SMALL_CONFIG,
+                                "sweep": sweep, "outputs": outputs}))
+    return str(path)
+
+
+class TestRefusedRunsExitOne:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "oracle"])
+    def test_unwritable_out_exits_one(self, config_path, tmp_path, capsys,
+                                      command):
+        spec = _write_spec(tmp_path / "spec.json",
+                           {"param": "p", "values": [0.1]}, ["t_f"])
+        args = {"simulate": ["--config", config_path],
+                "sweep": ["--spec", spec],
+                "oracle": ["--config", config_path, "--reps", "100",
+                           "--seed", "1"]}[command]
+        # a directory inside a regular file cannot be made
+        assert main([command, *args, "--out",
+                     os.path.join(config_path, "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_huge_n_nodes_refused_at_once(self, tmp_path):
+        """A roster too large for an array is refused before its table's
+        per-column list fills memory.  The run is a fresh interpreter that
+        caps its own address space, under a timeout, so a regression fails
+        there instead of filling the host's memory or hanging."""
+        spec = _write_spec(tmp_path / "spec.json",
+                           {"param": "n_nodes", "values": [30, 10**25 + 1]},
+                           ["p_star"])
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from virusgame.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(virusgame.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "sweep", "--spec", spec, "--out",
+             str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: "), done.stderr
+
+
+# (level, value, message): dynamics.protected_count's refusal, which every
+# entry point that takes the level gives; n_nodes is 30
+_BAD_LEVELS = [
+    ("k_protected", -1, "k_protected must lie in [0, n_nodes=30], got -1.0"),
+    ("k_protected", 31, "k_protected must lie in [0, n_nodes=30], got 31.0"),
+    ("k_protected", float("nan"),
+     "k_protected must lie in [0, n_nodes=30], got nan"),
+    ("k_protected", "3", "k_protected must be a number, got '3'"),
+    ("k_protected", True, "k_protected must be a number, got True"),
+    ("p", 1.5, "p must lie in [0,1], got 1.5"),
+    ("p", float("nan"), "p must lie in [0,1], got nan"),
+    ("p", "0.5", "p must be a number, got '0.5'"),
+]
+
+# the levels each entry point takes; on the command line a string or a
+# bool has no spelling of its own ("3" is read as 3.0)
+_ENTRY_POINTS = {"integrate": ("k_protected",),
+                 "simulate_ctmc": ("k_protected",),
+                 "ExperimentSpec": ("k_protected", "p"),
+                 "virusgame simulate": ("k_protected", "p")}
+
+
+class TestProtectionRule:
+    @pytest.mark.parametrize("entry, level, value, message", [
+        pytest.param(entry, level, value, message,
+                     id=f"{entry}-{level}-{value!r}")
+        for entry, levels in _ENTRY_POINTS.items()
+        for level, value, message in _BAD_LEVELS
+        if level in levels and not (entry == "virusgame simulate"
+                                    and isinstance(value, (str, bool)))])
+    def test_refused_alike(self, config_path, tmp_path, capsys, entry, level,
+                           value, message):
+        if entry == "virusgame simulate":
+            out = tmp_path / "out"
+            assert main(["simulate", "--config", config_path,
+                         f"--{level.replace('_', '-')}", str(value),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+            return
+        cfg = parse_config(SMALL_CONFIG)
+        with pytest.raises(ValueError) as refused:
+            if entry == "integrate":
+                integrate(cfg.params, value, cfg.dist, horizon=1.0)
+            elif entry == "simulate_ctmc":
+                simulate_ctmc(cfg.params, cfg.dist, value, 0, 1.0)
+            else:
+                ExperimentSpec(name="toy", config=cfg,
+                               sweep=(level, (value,)), outputs=("t_f",))
+        # a spec names the sweep first: "sweep value of p must be a number"
+        assert str(refused.value).endswith(message)
